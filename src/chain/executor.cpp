@@ -1,6 +1,7 @@
 #include "chain/executor.h"
 
 #include "common/serialize.h"
+#include "crypto/signature.h"
 #include "crypto/sha256.h"
 #include "mht/merkle_tree.h"
 #include "vm/rwset_storage.h"
@@ -83,10 +84,38 @@ class TxStorage final : public vm::StorageView {
 
 }  // namespace
 
+Status VerifyTxSignatures(const std::vector<Transaction>& txs) {
+  std::vector<Hash256> digests;
+  std::vector<crypto::VerifyJob> jobs;
+  digests.reserve(txs.size());
+  jobs.reserve(txs.size());
+  for (const Transaction& tx : txs) {
+    digests.push_back(crypto::Sha256::Digest(tx.SigningPayload()));
+    jobs.push_back({&tx.sender, &digests.back(), &tx.signature});  // reserved
+  }
+  const std::vector<bool> ok = crypto::VerifyBatch(jobs.data(), jobs.size());
+  for (std::size_t i = 0; i < ok.size(); ++i) {
+    if (!ok[i]) {
+      return Status::Error("tx " + std::to_string(i) +
+                           ": transaction signature invalid");
+    }
+  }
+  return Status::Ok();
+}
+
 Result<BlockExecutionResult> ExecuteBlockTxs(const std::vector<Transaction>& txs,
                                              const ContractRegistry& registry,
                                              const StateReader& base,
                                              std::uint64_t step_limit) {
+  if (Status st = VerifyTxSignatures(txs); !st) {
+    return Result<BlockExecutionResult>(st);
+  }
+  return ExecuteBlockTxsUnchecked(txs, registry, base, step_limit);
+}
+
+Result<BlockExecutionResult> ExecuteBlockTxsUnchecked(
+    const std::vector<Transaction>& txs, const ContractRegistry& registry,
+    const StateReader& base, std::uint64_t step_limit) {
   using R = Result<BlockExecutionResult>;
   BlockExecutionResult result;
   BlockOverlay overlay(base);
@@ -94,9 +123,6 @@ Result<BlockExecutionResult> ExecuteBlockTxs(const std::vector<Transaction>& txs
   try {
     for (std::size_t i = 0; i < txs.size(); ++i) {
       const Transaction& tx = txs[i];
-      if (Status sig = tx.VerifySignature(); !sig) {
-        return R::Error("tx " + std::to_string(i) + ": " + sig.message());
-      }
       StateKey nonce_key = NonceKey(tx.sender);
       std::uint64_t expected_nonce = overlay.Load(nonce_key);
       if (tx.nonce != expected_nonce) {

@@ -46,8 +46,15 @@ struct BlockExecutionResult {
   std::vector<TxReceipt> receipts;
 };
 
+/// Checks every transaction signature of a block with one batched Schnorr
+/// verification (crypto::VerifyBatch). On failure names the first bad index:
+/// "tx i: transaction signature invalid".
+Status VerifyTxSignatures(const std::vector<Transaction>& txs);
+
 /// Executes `txs` in order on top of `base`. Transaction rules:
-///  * an invalid signature invalidates the whole block (Alg. 2 line 19);
+///  * an invalid signature invalidates the whole block (Alg. 2 line 19); all
+///    signatures are checked up front, in one VerifyTxSignatures batch,
+///    before any transaction runs;
 ///  * a nonce mismatch invalidates the whole block (miners order correctly);
 ///  * an unknown contract or VM failure reverts that transaction's storage
 ///    writes but still consumes the sender's nonce (Ethereum-style).
@@ -56,5 +63,14 @@ Result<BlockExecutionResult> ExecuteBlockTxs(const std::vector<Transaction>& txs
                                              const ContractRegistry& registry,
                                              const StateReader& base,
                                              std::uint64_t step_limit = 1'000'000);
+
+/// ExecuteBlockTxs without the signature step. Internal to the certificate
+/// issuer's untrusted pre-processing (Alg. 1 line 2), whose read/write set
+/// only feeds the enclave: the enclave's own replay runs the checked
+/// ExecuteBlockTxs, so a bad signature still never gets certified. Every
+/// other caller must use ExecuteBlockTxs.
+Result<BlockExecutionResult> ExecuteBlockTxsUnchecked(
+    const std::vector<Transaction>& txs, const ContractRegistry& registry,
+    const StateReader& base, std::uint64_t step_limit = 1'000'000);
 
 }  // namespace dcert::chain

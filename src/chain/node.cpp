@@ -27,7 +27,7 @@ FullNode::FullNode(ChainConfig config,
   blocks_.push_back(MakeGenesisBlock(config_));
 }
 
-Status FullNode::SubmitBlock(const Block& block) {
+Status FullNode::CheckHeader(const Block& block) const {
   const BlockHeader& hdr = block.header;
   const BlockHeader& tip = Tip().header;
   if (hdr.prev_hash != tip.Hash()) {
@@ -43,17 +43,40 @@ Status FullNode::SubmitBlock(const Block& block) {
   if (hdr.tx_root != Block::ComputeTxRoot(block.txs)) {
     return Status::Error("transaction root mismatch");
   }
+  return Status::Ok();
+}
+
+Status FullNode::SubmitBlock(const Block& block) {
+  if (Status st = CheckHeader(block); !st) return st;
 
   auto executed = ExecuteBlockTxs(block.txs, *registry_, state_);
   if (!executed) return executed.status().WithContext("block execution");
 
   // Predict the post-state root statelessly before touching the StateDB.
   const StateMap& writes = executed.value().writes;
-  if (PredictRootAfterWrites(state_, writes) != hdr.state_root) {
+  if (PredictRootAfterWrites(state_, writes) != block.header.state_root) {
     return Status::Error("state root mismatch after re-execution");
   }
 
   state_.ApplyWrites(writes);
+  blocks_.push_back(block);
+  return Status::Ok();
+}
+
+Status FullNode::AppendExecuted(const Block& block, const StateMap& writes) {
+  if (Status st = CheckHeader(block); !st) return st;
+
+  // Pre-state of every written key, so a mismatching root can be undone
+  // (unset keys read as 0, which ApplyWrites treats as a delete).
+  StateMap undo;
+  for (const auto& [key, value] : writes) {
+    undo.emplace_hint(undo.end(), key, state_.Load(key));
+  }
+  state_.ApplyWrites(writes);
+  if (state_.Root() != block.header.state_root) {
+    state_.ApplyWrites(undo);
+    return Status::Error("state root mismatch after applying the write set");
+  }
   blocks_.push_back(block);
   return Status::Ok();
 }

@@ -49,6 +49,14 @@ class FullNode {
   /// and state-root check — then append.
   Status SubmitBlock(const Block& block);
 
+  /// Appends a block whose execution the caller already ran against this
+  /// node's tip state (the certificate issuer's own pre-processing): checks
+  /// the header exactly as SubmitBlock does, applies `writes`, and requires
+  /// the resulting state root to equal the header's. Neither re-executes nor
+  /// checks transaction signatures — the caller vouches for both. On a root
+  /// mismatch the writes are rolled back and the block is refused.
+  Status AppendExecuted(const Block& block, const StateMap& writes);
+
   /// Re-bases a node still at genesis onto a state snapshot: after this the
   /// node's tip is `tip` (height >= 1), its state is `state`, and blocks
   /// below the tip are unavailable. Verifies everything the snapshot claims
@@ -63,6 +71,9 @@ class FullNode {
   std::size_t StorageBytes() const;
 
  private:
+  /// Linkage, difficulty, consensus proof, and tx root against the tip.
+  Status CheckHeader(const Block& block) const;
+
   ChainConfig config_;
   std::shared_ptr<const ContractRegistry> registry_;
   std::vector<Block> blocks_;  // blocks_[i] holds height base_height_ + i

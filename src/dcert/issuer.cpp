@@ -114,7 +114,8 @@ Result<CertificateIssuer::Prepared> CertificateIssuer::Prepare(
   using R = Result<Prepared>;
   // comp_data_set (Alg. 1 line 2): execute on the current (pre-block) state.
   Stopwatch rwset_watch;
-  auto executed = chain::ExecuteBlockTxs(blk.txs, node_.Registry(), node_.State());
+  auto executed =
+      chain::ExecuteBlockTxsUnchecked(blk.txs, node_.Registry(), node_.State());
   const std::uint64_t rwset_ns = rwset_watch.ElapsedNs();
   timing_.rwset_ns += rwset_ns;
   CiMetrics::Get().rwset_ns->Record(rwset_ns);
@@ -128,6 +129,7 @@ Result<CertificateIssuer::Prepared> CertificateIssuer::Prepare(
   const std::uint64_t proof_ns = proof_watch.ElapsedNs();
   timing_.proof_ns += proof_ns;
   CiMetrics::Get().proof_ns->Record(proof_ns);
+  prepared.writes = std::move(executed.value().writes);
   prepared.input_bytes = blk.ByteSize() + prepared.proof.ByteSize();
   return prepared;
 }
@@ -142,14 +144,27 @@ BlockCertificate CertificateIssuer::AssembleCert(
   return cert;
 }
 
-Status CertificateIssuer::Commit(const chain::Block& blk) {
+Status CertificateIssuer::TimedCommit(const std::function<Status()>& step) {
   Stopwatch commit_watch;
-  Status st = node_.SubmitBlock(blk);
+  Status st = step();
   const std::uint64_t commit_ns = commit_watch.ElapsedNs();
   timing_.commit_ns += commit_ns;
   CiMetrics::Get().commit_ns->Record(commit_ns);
   if (!st) return st.WithContext("commit");
   return Status::Ok();
+}
+
+Status CertificateIssuer::Commit(const chain::Block& blk,
+                                 const chain::StateMap& writes) {
+  return TimedCommit([&] { return node_.AppendExecuted(blk, writes); });
+}
+
+Status CertificateIssuer::CommitBeforeEcall(const chain::Block& blk,
+                                            const chain::StateMap& writes) {
+  return TimedCommit([&] {
+    if (Status st = chain::VerifyTxSignatures(blk.txs); !st) return st;
+    return node_.AppendExecuted(blk, writes);
+  });
 }
 
 Result<BlockCertificate> CertificateIssuer::ProcessBlock(const chain::Block& blk) {
@@ -180,7 +195,7 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlock(const chain::Block& blk
   if (!sig) return R(sig.status().WithContext("ecall_sig_gen"));
 
   BlockCertificate cert = AssembleCert(blk.header.Hash(), sig.value());
-  if (Status st = Commit(blk); !st) return R(st);
+  if (Status st = Commit(blk, prepared.value().writes); !st) return R(st);
   latest_cert_ = cert;
   block_certs_.push_back(cert);
   CiMetrics::Get().blocks_certified->Add(1);
@@ -208,7 +223,9 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
     if (!prepared) return R(prepared.status());
     input_bytes += prepared.value().input_bytes;
     proofs.push_back(std::move(prepared.value().proof));
-    if (Status st = Commit(blk); !st) return R(st);
+    if (Status st = CommitBeforeEcall(blk, prepared.value().writes); !st) {
+      return R(st);
+    }
   }
 
   const sgxsim::CostAccounting before = enclave_.Costs();
@@ -244,12 +261,12 @@ Result<std::vector<BlockCertificate>> CertificateIssuer::ProcessBlocksPipelined(
   if (blocks.empty()) return R::Error("empty span");
 
   // Two-stage pipeline over a bounded handoff queue. The prepare thread owns
-  // node_ (tip checks, re-execution, proof build, commit) and the prepare-
-  // side timing counters; the calling thread owns the enclave, the
-  // certificate chain, and the enclave-side counters. The enclave's SigGen
-  // consumes only captured values (prev header, prev certificate, block,
-  // proof), so committing block N before its Ecall is legal and is what lets
-  // block N+1's preparation overlap it.
+  // node_ (tip checks, execution, proof build, signature check, commit) and
+  // the prepare-side timing counters; the calling thread owns the enclave,
+  // the certificate chain, and the enclave-side counters. The enclave's
+  // SigGen consumes only captured values (prev header, prev certificate,
+  // block, proof), so committing block N before its Ecall is legal and is
+  // what lets block N+1's preparation overlap it.
   struct Slot {
     chain::BlockHeader prev_hdr;
     Prepared prepared;
@@ -275,7 +292,7 @@ Result<std::vector<BlockCertificate>> CertificateIssuer::ProcessBlocksPipelined(
         slot.status = prepared.status();
       } else {
         slot.prepared = std::move(prepared.value());
-        slot.status = Commit(blk);
+        slot.status = CommitBeforeEcall(blk, slot.prepared.writes);
       }
       const bool failed = !slot.status;
       {
@@ -400,7 +417,9 @@ Status CertificateIssuer::AcceptBlockWithCert(const chain::Block& blk,
     return Status::Error("foreign certificate does not cover this block");
   }
   // Full local validation before adopting (the CI is still a full node).
-  if (Status st = Commit(blk); !st) return st;
+  if (Status st = TimedCommit([&] { return node_.SubmitBlock(blk); }); !st) {
+    return st;
+  }
   latest_cert_ = cert;
   block_certs_.push_back(cert);
   return Status::Ok();
@@ -448,7 +467,7 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockAugmented(
     new_digests.push_back(new_digest);
   }
 
-  if (Status st = Commit(blk); !st) return R(st);
+  if (Status st = Commit(blk, prepared.value().writes); !st) return R(st);
   for (std::size_t i = 0; i < indexes_.size(); ++i) {
     indexes_[i].digest = new_digests[i];
     indexes_[i].cert = certs[i];
@@ -517,7 +536,7 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchica
     certs.push_back(*indexes_[i].cert);
   }
 
-  if (Status st = Commit(blk); !st) return R(st);
+  if (Status st = Commit(blk, prepared.value().writes); !st) return R(st);
   latest_cert_ = block_cert;
   block_certs_.push_back(block_cert);
   for (const IndexSlot& slot : indexes_) {

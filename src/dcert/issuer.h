@@ -49,7 +49,8 @@ struct CertTiming {
   std::uint64_t rwset_ns = 0;            // outside: execution + r/w set gen
   std::uint64_t proof_ns = 0;            // outside: Merkle proof generation
   std::uint64_t index_aux_ns = 0;        // outside: index aux proof generation
-  std::uint64_t commit_ns = 0;           // outside: full-node re-validate + apply
+  std::uint64_t commit_ns = 0;           // outside: apply Prepare's write set
+                                         // to the node + state-root check
   std::uint64_t enclave_wall_ns = 0;     // inside: raw wall time
   std::uint64_t enclave_modeled_ns = 0;  // inside: with modelled SGX overheads
   std::uint64_t ecalls = 0;
@@ -133,8 +134,8 @@ class CertificateIssuer {
       const std::vector<chain::Block>& blocks);
 
   /// Two-stage pipelined certification of a contiguous span: a prepare
-  /// thread runs the outside-enclave work (tip check, VM re-execution,
-  /// update-proof build, full-node commit) for block N+1 while the calling
+  /// thread runs the outside-enclave work (tip check, execution, update-proof
+  /// build, signature check, full-node commit) for block N+1 while the calling
   /// thread drives block N's Ecall — legal because the enclave needs only
   /// the *previous* certificate, never the node's post-commit state. Every
   /// block receives a certificate; certs, roots, and LatestCert() are
@@ -210,16 +211,29 @@ class CertificateIssuer {
 
   struct Prepared {
     StateUpdateProof proof;
+    chain::StateMap writes;  // the block's write set, applied by Commit
     std::uint64_t input_bytes = 0;
   };
 
-  /// Outside-enclave pre-processing (Alg. 1 lines 2-3), timed.
+  /// Outside-enclave pre-processing (Alg. 1 lines 2-3), timed. Untrusted, so
+  /// it skips transaction signatures: the enclave's replay checks them.
   Result<Prepared> Prepare(const chain::Block& blk);
   BlockCertificate AssembleCert(const Hash256& digest,
                                 const crypto::Signature& sig) const;
   Status CheckExtendsTip(const chain::Block& blk) const;
-  /// Appends the block to the local full node.
-  Status Commit(const chain::Block& blk);
+  /// Appends the block to the local full node by applying the write set
+  /// Prepare computed; the node checks the header and that the writes land
+  /// on the header's state root. For blocks the enclave already certified:
+  /// the enclave checked the signatures and the root, and the host trusts
+  /// its own execution.
+  Status Commit(const chain::Block& blk, const chain::StateMap& writes);
+  /// Commit for the paths that commit *before* their Ecall (batch,
+  /// pipelined): nothing has checked the signatures yet, so one batched
+  /// host-side check runs first and node_ never holds a block with a bad
+  /// signature.
+  Status CommitBeforeEcall(const chain::Block& blk, const chain::StateMap& writes);
+  /// Runs one commit step, timed as commit_ns.
+  Status TimedCommit(const std::function<Status()>& step);
 
   chain::ChainConfig config_;
   sgxsim::Enclave enclave_;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert::chain {
@@ -14,7 +15,7 @@ namespace {
 /// Temp file path unique per test, removed on destruction.
 struct TempFile {
   explicit TempFile(const std::string& name)
-      : path(::testing::TempDir() + "dcert_store_" + name + ".bin") {
+      : path(testutil::UniqueTempPath("dcert_store_" + name + ".bin")) {
     std::remove(path.c_str());
   }
   ~TempFile() { std::remove(path.c_str()); }

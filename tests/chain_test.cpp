@@ -140,6 +140,70 @@ TEST(ExecutorTest, InvalidSignatureInvalidatesBlock) {
   EXPECT_FALSE(result.ok());
 }
 
+/// Eight valid KVStore puts from eight distinct senders.
+std::vector<Transaction> EightSignedTxs(AccountPool& pool) {
+  std::vector<Transaction> txs;
+  const std::uint64_t kv = ContractId(Workload::kKvStore, 0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    txs.push_back(pool.MakeTx(i, kv, {0, i, i + 1}));
+  }
+  return txs;
+}
+
+TEST(ExecutorTest, BatchedSignatureCheckNamesTheBadIndex) {
+  AccountPool pool(8, 61);
+  const std::vector<Transaction> good = EightSignedTxs(pool);
+  StateDB db;
+  ASSERT_TRUE(ExecuteBlockTxs(good, *TestRegistry(), db).ok());
+  for (std::size_t k = 0; k < good.size(); ++k) {
+    std::vector<Transaction> txs = good;
+    txs[k].calldata[2] = 99;  // breaks tx k's signature only
+    auto result = ExecuteBlockTxs(txs, *TestRegistry(), db);
+    ASSERT_FALSE(result.ok()) << "k=" << k;
+    EXPECT_EQ(result.message(),
+              "tx " + std::to_string(k) + ": transaction signature invalid");
+  }
+}
+
+TEST(ExecutorTest, BatchedSignatureCheckNamesTheFirstOfTwoBad) {
+  AccountPool pool(8, 62);
+  std::vector<Transaction> txs = EightSignedTxs(pool);
+  txs[2].calldata[2] = 99;
+  txs[6].calldata[2] = 99;
+  StateDB db;
+  auto result = ExecuteBlockTxs(txs, *TestRegistry(), db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.message(), "tx 2: transaction signature invalid");
+}
+
+TEST(ExecutorTest, BatchedSignatureCheckSingleAndEmptyBlocks) {
+  AccountPool pool(1, 63);
+  StateDB db;
+  auto empty = ExecuteBlockTxs({}, *TestRegistry(), db);
+  ASSERT_TRUE(empty.ok()) << empty.message();
+  EXPECT_TRUE(empty.value().writes.empty());
+  EXPECT_TRUE(empty.value().receipts.empty());
+
+  Transaction tx = pool.MakeTx(0, ContractId(Workload::kKvStore, 0), {0, 3, 4});
+  auto single = ExecuteBlockTxs({tx}, *TestRegistry(), db);
+  ASSERT_TRUE(single.ok()) << single.message();
+  EXPECT_EQ(single.value().receipts.size(), 1u);
+  tx.calldata[2] = 5;  // breaks the signature
+  auto bad = ExecuteBlockTxs({tx}, *TestRegistry(), db);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.message(), "tx 0: transaction signature invalid");
+}
+
+TEST(ExecutorTest, NonceErrorWithLaterBadSignatureIsRejected) {
+  AccountPool pool(8, 64);
+  const std::uint64_t kv = ContractId(Workload::kKvStore, 0);
+  pool.MakeTx(1, kv, {0, 1, 1});  // burn sender 1's nonce 0
+  std::vector<Transaction> txs = EightSignedTxs(pool);
+  txs[5].calldata[2] = 99;  // tx 1 has a nonce error, tx 5 a bad signature
+  StateDB db;
+  EXPECT_FALSE(ExecuteBlockTxs(txs, *TestRegistry(), db).ok());
+}
+
 TEST(ExecutorTest, UnknownContractRevertsButConsumesNonce) {
   AccountPool pool(1, 7);
   StateDB db;
@@ -245,6 +309,44 @@ TEST(NodeTest, SubmitRejectsTamperedBlocks) {
 
   // The untouched block still goes through.
   EXPECT_TRUE(node.SubmitBlock(block.value()).ok());
+}
+
+TEST(NodeTest, AppendExecutedChecksRootAndRollsBack) {
+  FullNode node(TestConfig(), TestRegistry());
+  AccountPool pool(4, 12);
+  WorkloadGenerator::Params params;
+  params.kind = Workload::kSmallBank;
+  params.instances_per_workload = 2;
+  WorkloadGenerator gen(params, pool);
+  Miner miner(node);
+  auto block = miner.MineBlock(gen.NextBlockTxs(8), 1000);
+  ASSERT_TRUE(block.ok()) << block.message();
+  auto executed =
+      ExecuteBlockTxs(block.value().txs, *TestRegistry(), node.State());
+  ASSERT_TRUE(executed.ok()) << executed.message();
+  const StateMap& writes = executed.value().writes;
+  ASSERT_FALSE(writes.empty());
+  const Hash256 root_before = node.State().Root();
+  const std::size_t size_before = node.State().Size();
+
+  // A write set that misses the header's state root is undone and refused.
+  StateMap wrong = writes;
+  wrong.begin()->second += 1;
+  wrong[SlotKey(12345, 6789)] = 1;  // a key the block never touched
+  EXPECT_FALSE(node.AppendExecuted(block.value(), wrong).ok());
+  EXPECT_EQ(node.Height(), 0u);
+  EXPECT_EQ(node.State().Root(), root_before);
+  EXPECT_EQ(node.State().Size(), size_before);
+  EXPECT_EQ(node.State().Load(SlotKey(12345, 6789)), 0u);
+
+  // Header checks match SubmitBlock's.
+  Block wrong_height = block.value();
+  wrong_height.header.height += 1;
+  EXPECT_FALSE(node.AppendExecuted(wrong_height, writes).ok());
+
+  ASSERT_TRUE(node.AppendExecuted(block.value(), writes).ok());
+  EXPECT_EQ(node.Height(), 1u);
+  EXPECT_EQ(node.State().Root(), block.value().header.state_root);
 }
 
 TEST(LightClientTest, SyncAndValidate) {

@@ -34,6 +34,7 @@
 #include "svc/fault_transport.h"
 #include "svc/protocol.h"
 #include "svc/sp_server.h"
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert::fleet {
@@ -268,7 +269,7 @@ TEST(ChaosHarnessTest, RoutableNeverConsumesProbeAndAbandonedProbeReadmits) {
 // ---------------------------------------------------------------------------
 
 TEST(ChaosHarnessTest, EvidenceFilePersistsQuarantineAndReleaseReadmits) {
-  const std::string path = ::testing::TempDir() + "chaos_evidence.bin";
+  const std::string path = testutil::UniqueTempPath("chaos_evidence.bin");
   std::remove(path.c_str());
 
   MisbehaviorEvidence ev;
@@ -400,7 +401,7 @@ TEST(ChaosSoakTest, ComposedFaultsAcceptZeroUnverifiedAndConvergeClosed) {
   client_cfg.health_policy.open_base_backoff = std::chrono::milliseconds(5);
   client_cfg.health_policy.open_max_backoff = std::chrono::milliseconds(50);
 
-  const std::string evidence_path = ::testing::TempDir() + "chaos_soak_ev.bin";
+  const std::string evidence_path = testutil::UniqueTempPath("chaos_soak_ev.bin");
   std::remove(evidence_path.c_str());
 
   FleetClient client(
@@ -434,7 +435,7 @@ TEST(ChaosSoakTest, ComposedFaultsAcceptZeroUnverifiedAndConvergeClosed) {
   // query traffic. The checkpoint is a genuine export, sealed clean once —
   // every later faulty rewrite must leave the valid file intact (tmp+rename
   // atomicity under injected EIO/short-write/fsync faults).
-  const std::string log_path = ::testing::TempDir() + "chaos_soak.log";
+  const std::string log_path = testutil::UniqueTempPath("chaos_soak.log");
   std::remove(log_path.c_str());
   std::remove((log_path + ".manifest").c_str());
   for (int first = 0; first < 4096; ++first) {
@@ -449,7 +450,7 @@ TEST(ChaosSoakTest, ComposedFaultsAcceptZeroUnverifiedAndConvergeClosed) {
   ASSERT_TRUE(opened.ok()) << opened.message();
   auto log = std::make_unique<common::RecordLog>(std::move(opened.value()));
 
-  const std::string ckpt_dir = ::testing::TempDir() + "chaos_soak_ckpt";
+  const std::string ckpt_dir = testutil::UniqueTempPath("chaos_soak_ckpt");
   for (int h = 0; h < 64; ++h) {
     std::remove((ckpt_dir + "/ckpt-" + std::to_string(h) + ".dcp").c_str());
   }

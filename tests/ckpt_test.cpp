@@ -27,6 +27,7 @@
 #include "svc/sp_client.h"
 #include "svc/sp_server.h"
 #include "svc/transport.h"
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert::ckpt {
@@ -80,7 +81,7 @@ struct IssuerPaths {
 IssuerPaths FreshIssuerPaths(const std::string& tag, std::uint64_t segments,
                              std::uint64_t interval) {
   IssuerPaths p;
-  p.dir = ::testing::TempDir() + tag;
+  p.dir = testutil::UniqueTempPath(tag);
   p.options.block_log_path = p.dir + "_blocks.log";
   p.options.cert_log_path = p.dir + "_certs.log";
   p.options.sealed_key_path = p.dir + "_key.sealed";
@@ -208,7 +209,7 @@ TEST(CheckpointVerifyTest, AcceptsGenuineAndRejectsEveryTampering) {
 }
 
 TEST(CheckpointStoreTest, WriteLoadPruneAndCorruptFilesDegradeGracefully) {
-  const std::string dir = ::testing::TempDir() + "ckpt_store_dir";
+  const std::string dir = testutil::UniqueTempPath("ckpt_store_dir");
   for (int h = 0; h < 64; ++h) {
     std::remove((dir + "/ckpt-" + std::to_string(h) + ".dcp").c_str());
   }
@@ -563,7 +564,7 @@ TEST(CheckpointStoreTest, LoadLatestValidRacesConcurrentSealAndPrune) {
   }
   ASSERT_GE(checkpoints.size(), 2u);
 
-  const std::string dir = ::testing::TempDir() + "ckpt_race_store";
+  const std::string dir = testutil::UniqueTempPath("ckpt_race_store");
   for (int h = 0; h < 64; ++h) {
     std::remove((dir + "/ckpt-" + std::to_string(h) + ".dcp").c_str());
   }

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <string>
 
+#include "temp_path.h"
+
 namespace {
 
 struct CliResult {
@@ -184,7 +186,7 @@ TEST(Cli, FleetHealthUnreachableEndpointIsRuntimeFailure) {
 TEST(Cli, FleetHealthListsEmptyEvidenceFileWithoutDialing) {
   // A missing evidence file reads as "no quarantines"; with no endpoints to
   // probe this is a pure local operation and succeeds.
-  const std::string path = ::testing::TempDir() + "cli_no_evidence.bin";
+  const std::string path = dcert::testutil::UniqueTempPath("cli_no_evidence.bin");
   std::remove(path.c_str());
   const CliResult r = RunCli("fleet-health --evidence " + path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -220,7 +222,7 @@ TEST(Cli, FsckAndRecoverRejectMalformedArgs) {
 }
 
 TEST(Cli, RecoverFreshThenResumeThenFsck) {
-  const std::string dir = ::testing::TempDir() + "cli_recover";
+  const std::string dir = dcert::testutil::UniqueTempPath("cli_recover");
   mkdir(dir.c_str(), 0755);
   for (const char* f : {"/blocks.log", "/certs.log", "/key.sealed"}) {
     std::remove((dir + f).c_str());

@@ -19,6 +19,7 @@
 #include "common/crash_point.h"
 #include "common/rng.h"
 #include "dcert/durable_issuer.h"
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert::core {
@@ -70,9 +71,9 @@ struct LogPaths {
 
 LogPaths FreshPaths(const std::string& tag) {
   LogPaths p;
-  p.blocks = ::testing::TempDir() + tag + "_blocks.log";
-  p.certs = ::testing::TempDir() + tag + "_certs.log";
-  p.key = ::testing::TempDir() + tag + "_key.sealed";
+  p.blocks = testutil::UniqueTempPath(tag + "_blocks.log");
+  p.certs = testutil::UniqueTempPath(tag + "_certs.log");
+  p.key = testutil::UniqueTempPath(tag + "_key.sealed");
   std::remove(p.blocks.c_str());
   std::remove(p.certs.c_str());
   std::remove(p.key.c_str());
@@ -522,7 +523,7 @@ TEST(CrashSoakTest, CheckpointedSeededCrashRecoverCyclesAreExact) {
       "issuer.durable.after_block_append",
   };
 
-  const std::string ckpt_dir = ::testing::TempDir() + "cksoak_ckpt";
+  const std::string ckpt_dir = testutil::UniqueTempPath("cksoak_ckpt");
   Rng rng(0xC4EC7B01A7ull);
   std::map<std::string, std::uint64_t> fired_at;
   std::uint64_t crashed_cycles = 0;

@@ -1,11 +1,19 @@
 // DCert core: end-to-end block certification (Alg. 1-2), superlight client
-// validation (Alg. 3), and the forgery paths of Theorem 1.
+// validation (Alg. 3), the forgery paths of Theorem 1, and the rejection of
+// a bad transaction signature on every certify path.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "chain/consensus.h"
+#include "ckpt/checkpointed_issuer.h"
 #include "dcert/certificate.h"
+#include "dcert/durable_issuer.h"
 #include "dcert/enclave_program.h"
 #include "dcert/issuer.h"
 #include "dcert/superlight.h"
+#include "query/historical_index.h"
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert::core {
@@ -294,6 +302,210 @@ TEST(SuperlightTest, StorageIsConstantAcrossChainGrowth) {
     if (i == 0) storage_after_first = client.StorageBytes();
   }
   EXPECT_EQ(client.StorageBytes(), storage_after_first);
+}
+
+
+// --- A bad transaction signature, on every certify path ---
+
+constexpr std::size_t kBadTx = 5;
+
+/// Two honest SmallBank blocks of 8 transactions, then a third block that is
+/// valid in every respect except tx kBadTx's signature: its tx root and
+/// consensus nonce are redone over the tampered transaction, and its state
+/// root is the honest one (a signature does not affect execution). Only a
+/// signature check can reject it.
+struct BadSignatureRig {
+  TestRig rig{Workload::kSmallBank};
+  std::vector<chain::Block> good;  // heights 1..2
+  chain::Block honest;             // height 3
+  chain::Block bad;                // height 3, tx kBadTx re-signed badly
+
+  BadSignatureRig() {
+    good.push_back(rig.NextBlock());
+    good.push_back(rig.NextBlock());
+    honest = rig.NextBlock();
+    bad = honest;
+    Bytes sig = bad.txs[kBadTx].signature.Serialize();
+    sig.back() ^= 0x01;
+    bad.txs[kBadTx].signature = crypto::Signature::Deserialize(sig).value();
+    bad.header.tx_root = chain::Block::ComputeTxRoot(bad.txs);
+    chain::MineNonce(bad.header);
+  }
+};
+
+const std::string kBadSigMessage = "tx 5: transaction signature invalid";
+
+/// What a rejected block must leave untouched on an issuer.
+struct IssuerView {
+  std::uint64_t height = 0;
+  Hash256 root;
+  Bytes latest_cert;
+
+  explicit IssuerView(const CertificateIssuer& ci)
+      : height(ci.Node().Height()), root(ci.Node().State().Root()) {
+    if (ci.LatestCert()) latest_cert = ci.LatestCert()->Serialize();
+  }
+  bool operator==(const IssuerView&) const = default;
+};
+
+TEST(BadSignatureTest, OnlyTheSignatureIsBad) {
+  BadSignatureRig r;
+  ASSERT_EQ(r.bad.txs.size(), 8u);
+  chain::FullNode node(r.rig.config, r.rig.registry);
+  for (const chain::Block& blk : r.good) ASSERT_TRUE(node.SubmitBlock(blk).ok());
+  Status st = node.SubmitBlock(r.bad);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(kBadSigMessage), std::string::npos) << st.message();
+  EXPECT_EQ(node.Height(), 2u);
+  EXPECT_TRUE(node.SubmitBlock(r.honest).ok());
+}
+
+TEST(BadSignatureTest, ProcessBlockRejectsInsideTheEnclave) {
+  BadSignatureRig r;
+  CertificateIssuer& ci = *r.rig.ci;
+  for (const chain::Block& blk : r.good) ASSERT_TRUE(ci.ProcessBlock(blk).ok());
+  const IssuerView before(ci);
+  const std::uint64_t ecalls = ci.EnclaveHandle().Costs().ecalls();
+
+  auto cert = ci.ProcessBlock(r.bad);
+  ASSERT_FALSE(cert.ok());
+  // The host's pre-processing does not check signatures; the enclave's
+  // replay is what rejects the block.
+  EXPECT_EQ(cert.message().rfind("ecall_sig_gen: ", 0), 0u) << cert.message();
+  EXPECT_NE(cert.message().find(kBadSigMessage), std::string::npos);
+  EXPECT_EQ(ci.EnclaveHandle().Costs().ecalls(), ecalls + 1);
+  EXPECT_TRUE(IssuerView(ci) == before);
+
+  ASSERT_TRUE(ci.ProcessBlock(r.honest).ok());
+  EXPECT_EQ(ci.Node().State().Root(), r.honest.header.state_root);
+}
+
+TEST(BadSignatureTest, ProcessBlockBatchRejects) {
+  BadSignatureRig r;
+  CertificateIssuer& ci = *r.rig.ci;
+  ASSERT_TRUE(ci.ProcessBlockBatch(r.good).ok());
+  const IssuerView before(ci);
+
+  auto cert = ci.ProcessBlockBatch({r.bad});
+  ASSERT_FALSE(cert.ok());
+  EXPECT_NE(cert.message().find(kBadSigMessage), std::string::npos);
+  EXPECT_TRUE(IssuerView(ci) == before);
+
+  EXPECT_TRUE(ci.ProcessBlockBatch({r.honest}).ok());
+}
+
+TEST(BadSignatureTest, ProcessBlocksPipelinedRejects) {
+  BadSignatureRig r;
+  CertificateIssuer& ci = *r.rig.ci;
+  auto certs = ci.ProcessBlocksPipelined({r.good[0], r.good[1], r.bad});
+  ASSERT_FALSE(certs.ok());
+  EXPECT_NE(certs.message().find("block 2"), std::string::npos);
+  EXPECT_NE(certs.message().find(kBadSigMessage), std::string::npos);
+  // The honest prefix is certified; the bad block never reached the node.
+  EXPECT_EQ(ci.Node().Height(), 2u);
+  EXPECT_EQ(ci.Node().Tip().header.Hash(), r.good[1].header.Hash());
+  EXPECT_EQ(ci.Node().State().Root(), r.good[1].header.state_root);
+  ASSERT_TRUE(ci.LatestCert().has_value());
+  EXPECT_EQ(ci.LatestCert()->digest, r.good[1].header.Hash());
+
+  EXPECT_TRUE(ci.ProcessBlocksPipelined({r.honest}).ok());
+}
+
+TEST(BadSignatureTest, ProcessBlockAugmentedRejects) {
+  BadSignatureRig r;
+  CertificateIssuer& ci = *r.rig.ci;
+  ci.AttachIndex(std::make_shared<query::HistoricalIndex>());
+  for (const chain::Block& blk : r.good) {
+    ASSERT_TRUE(ci.ProcessBlockAugmented(blk).ok());
+  }
+  const IssuerView before(ci);
+  const Bytes index_cert = ci.LatestIndexCert("historical")->Serialize();
+
+  auto certs = ci.ProcessBlockAugmented(r.bad);
+  ASSERT_FALSE(certs.ok());
+  EXPECT_NE(certs.message().find(kBadSigMessage), std::string::npos);
+  EXPECT_TRUE(IssuerView(ci) == before);
+  EXPECT_EQ(ci.LatestIndexCert("historical")->Serialize(), index_cert);
+}
+
+TEST(BadSignatureTest, ProcessBlockHierarchicalRejects) {
+  BadSignatureRig r;
+  CertificateIssuer& ci = *r.rig.ci;
+  ci.AttachIndex(std::make_shared<query::HistoricalIndex>());
+  for (const chain::Block& blk : r.good) {
+    ASSERT_TRUE(ci.ProcessBlockHierarchical(blk).ok());
+  }
+  const IssuerView before(ci);
+  const Bytes index_cert = ci.LatestIndexCert("historical")->Serialize();
+
+  auto certs = ci.ProcessBlockHierarchical(r.bad);
+  ASSERT_FALSE(certs.ok());
+  EXPECT_EQ(certs.message().rfind("ecall_sig_gen: ", 0), 0u) << certs.message();
+  EXPECT_NE(certs.message().find(kBadSigMessage), std::string::npos);
+  EXPECT_TRUE(IssuerView(ci) == before);
+  EXPECT_EQ(ci.LatestIndexCert("historical")->Serialize(), index_cert);
+
+  EXPECT_TRUE(ci.ProcessBlockHierarchical(r.honest).ok());
+}
+
+DurableIssuerOptions FreshDurableOptions(const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  DurableIssuerOptions opts;
+  opts.block_log_path = dir + "/blocks.log";
+  opts.cert_log_path = dir + "/certs.log";
+  opts.sealed_key_path = dir + "/sealed.key";
+  return opts;
+}
+
+TEST(BadSignatureTest, DurableIssuerRejectsAndLogsNoCertificate) {
+  BadSignatureRig r;
+  const std::string dir = testutil::UniqueTempPath("durable");
+  {
+    auto opened = DurableCertificateIssuer::Open(r.rig.config, r.rig.registry,
+                                                 FreshDurableOptions(dir));
+    ASSERT_TRUE(opened.ok()) << opened.message();
+    DurableCertificateIssuer& issuer = opened.value();
+    for (const chain::Block& blk : r.good) {
+      ASSERT_TRUE(issuer.CertifyBlock(blk).ok());
+    }
+    const IssuerView before(issuer.Issuer());
+    const std::uint64_t certs = issuer.Certs().Count();
+
+    Status st = issuer.CertifyBlock(r.bad);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find(kBadSigMessage), std::string::npos);
+    EXPECT_EQ(issuer.Certs().Count(), certs);
+    EXPECT_TRUE(IssuerView(issuer.Issuer()) == before);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BadSignatureTest, CheckpointedIssuerRejectsAndLogsNoCertificate) {
+  BadSignatureRig r;
+  const std::string dir = testutil::UniqueTempPath("checkpointed");
+  {
+    ckpt::CheckpointConfig ck;
+    ck.dir = dir + "/ckpt";
+    ck.interval = 2;
+    auto opened = ckpt::CheckpointedIssuer::Open(
+        r.rig.config, r.rig.registry, FreshDurableOptions(dir), ck);
+    ASSERT_TRUE(opened.ok()) << opened.message();
+    ckpt::CheckpointedIssuer& issuer = opened.value();
+    for (const chain::Block& blk : r.good) {
+      ASSERT_TRUE(issuer.CertifyBlock(blk).ok());
+    }
+    const IssuerView before(issuer.Durable().Issuer());
+    const std::uint64_t certs = issuer.Durable().Certs().Count();
+
+    Status st = issuer.CertifyBlock(r.bad);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find(kBadSigMessage), std::string::npos);
+    EXPECT_EQ(issuer.Durable().Certs().Count(), certs);
+    EXPECT_TRUE(IssuerView(issuer.Durable().Issuer()) == before);
+    EXPECT_EQ(issuer.LastCheckpointHeight(), 2u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,14 +3,18 @@
 // digests, and certificates to their serial counterparts.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
+#include "ckpt/checkpointed_issuer.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "dcert/issuer.h"
 #include "mht/smt.h"
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert {
@@ -187,6 +191,99 @@ TEST(ParallelEquivalenceTest, PipelinedRejectsNonExtendingSpan) {
   auto result = ci.ProcessBlocksPipelined({bogus});
   EXPECT_FALSE(result.ok());
   EXPECT_FALSE(ci.LatestCert().has_value());
+}
+
+/// The fixed seeded chain the certificate golden covers: 40 SmallBank blocks
+/// of 8 transactions, then 20 IOHeavy blocks of 2 transactions (32 keys each).
+struct GoldenChain {
+  chain::ChainConfig config;
+  std::shared_ptr<const chain::ContractRegistry> registry;
+  std::vector<chain::Block> blocks;
+
+  GoldenChain() {
+    config.difficulty_bits = 4;
+    registry = workloads::MakeBlockbenchRegistry(2);
+    workloads::AccountPool accounts(24, 1201);
+    workloads::WorkloadGenerator::Params sb;
+    sb.kind = workloads::Workload::kSmallBank;
+    sb.seed = 1202;
+    sb.instances_per_workload = 2;
+    workloads::WorkloadGenerator::Params io;
+    io.kind = workloads::Workload::kIoHeavy;
+    io.seed = 1203;
+    io.instances_per_workload = 2;
+    workloads::WorkloadGenerator sb_gen(sb, accounts);
+    workloads::WorkloadGenerator io_gen(io, accounts);
+
+    chain::FullNode node(config, registry);
+    chain::Miner miner(node);
+    for (int i = 0; i < 60; ++i) {
+      auto txs = i < 40 ? sb_gen.NextBlockTxs(8) : io_gen.NextBlockTxs(2);
+      auto blk = miner.MineBlock(std::move(txs), 1700000000 + node.Height() * 15);
+      if (!blk.ok()) throw std::runtime_error(blk.message());
+      if (Status st = node.SubmitBlock(blk.value()); !st) {
+        throw std::runtime_error(st.message());
+      }
+      blocks.push_back(std::move(blk.value()));
+    }
+  }
+};
+
+Hash256 DigestOfCerts(const std::vector<core::BlockCertificate>& certs) {
+  crypto::Sha256 ctx;
+  for (const core::BlockCertificate& cert : certs) ctx.Update(cert.Serialize());
+  return ctx.Finalize();
+}
+
+// SHA-256 over the serialized certificates of the golden chain, in height
+// order. Certificate bytes are a compatibility surface (superlight clients,
+// cert logs, checkpoints), so any change to how the issuer builds them must
+// show up here first.
+constexpr char kGoldenCertDigest[] =
+    "71374495e908a9420200b58c5d0e25cbf2e62233290765adc9acd533c6430583";
+
+TEST(ParallelEquivalenceTest, CertificateBytesMatchGolden) {
+  const GoldenChain golden;
+
+  core::CertificateIssuer serial_ci(golden.config, golden.registry);
+  std::vector<core::BlockCertificate> serial;
+  for (const chain::Block& blk : golden.blocks) {
+    auto cert = serial_ci.ProcessBlock(blk);
+    ASSERT_TRUE(cert.ok()) << cert.message();
+    serial.push_back(cert.value());
+  }
+
+  core::CertificateIssuer pipe_ci(golden.config, golden.registry);
+  auto pipelined = pipe_ci.ProcessBlocksPipelined(golden.blocks);
+  ASSERT_TRUE(pipelined.ok()) << pipelined.message();
+
+  const std::string dir = testutil::UniqueTempPath("golden");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<core::BlockCertificate> checkpointed;
+  {
+    core::DurableIssuerOptions opts;
+    opts.block_log_path = dir + "/blocks.log";
+    opts.cert_log_path = dir + "/certs.log";
+    opts.sealed_key_path = dir + "/sealed.key";
+    opts.segment_records = 16;
+    ckpt::CheckpointConfig ck;
+    ck.dir = dir + "/ckpt";
+    ck.interval = 20;
+    auto opened = ckpt::CheckpointedIssuer::Open(golden.config, golden.registry,
+                                                 opts, ck);
+    ASSERT_TRUE(opened.ok()) << opened.message();
+    ckpt::CheckpointedIssuer issuer = std::move(opened.value());
+    for (const chain::Block& blk : golden.blocks) {
+      ASSERT_TRUE(issuer.CertifyBlock(blk).ok());
+      checkpointed.push_back(*issuer.Durable().Issuer().LatestCert());
+    }
+  }
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(DigestOfCerts(serial).ToHex(), kGoldenCertDigest);
+  EXPECT_EQ(DigestOfCerts(pipelined.value()).ToHex(), kGoldenCertDigest);
+  EXPECT_EQ(DigestOfCerts(checkpointed).ToHex(), kGoldenCertDigest);
 }
 
 }  // namespace

@@ -7,12 +7,13 @@
 
 #include "common/crash_point.h"
 #include "common/record_log.h"
+#include "temp_path.h"
 
 namespace dcert::common {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return testutil::UniqueTempPath(name);
 }
 
 Bytes Payload(std::size_t n, std::uint8_t tag) {

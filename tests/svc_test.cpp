@@ -32,6 +32,7 @@
 #include "svc/sp_client.h"
 #include "svc/sp_server.h"
 #include "svc/tcp_transport.h"
+#include "temp_path.h"
 #include "workloads/workloads.h"
 
 namespace dcert::svc {
@@ -550,7 +551,15 @@ TEST(SvcTcpTest, ConnectionChurnLeavesFdAndThreadCountsFlat) {
     // Dropping the connection closes the client fd; the server's reader must
     // notice EOF, close its fd, and deregister without waiting for Stop().
   }
-  for (int i = 0; i < 500 && tcp.Stats().open_connections > 0; ++i) {
+  // Settle: under parallel load the acceptor can still have closed-by-peer
+  // connections queued in the listen backlog, which open_connections does
+  // not count yet, so also wait for every cycle to have been accepted.
+  for (int i = 0; i < 500; ++i) {
+    const TcpServerStats settling = tcp.Stats();
+    if (settling.open_connections == 0 &&
+        settling.accepted >= static_cast<std::uint64_t>(kCycles)) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   TcpServerStats stats = tcp.Stats();
@@ -809,9 +818,9 @@ struct DurableStoresRig {
   DurableStoresRig(const std::string& tag, int blocks) {
     config.difficulty_bits = 2;
     registry = workloads::MakeBlockbenchRegistry(1);
-    block_log_path = ::testing::TempDir() + tag + "_blocks.log";
-    cert_log_path = ::testing::TempDir() + tag + "_certs.log";
-    const std::string key_path = ::testing::TempDir() + tag + "_key.sealed";
+    block_log_path = testutil::UniqueTempPath(tag + "_blocks.log");
+    cert_log_path = testutil::UniqueTempPath(tag + "_certs.log");
+    const std::string key_path = testutil::UniqueTempPath(tag + "_key.sealed");
     std::remove(block_log_path.c_str());
     std::remove(cert_log_path.c_str());
     std::remove(key_path.c_str());
@@ -904,7 +913,7 @@ TEST(SvcRehydrateTest, RefusesUnreconciledOrMismatchedStores) {
   // A certificate that does not bind its block (wrong digest) is rejected —
   // rehydration validates like an announcement, it does not trust the disk.
   {
-    const std::string path = ::testing::TempDir() + "rehydrate_swapped_certs.log";
+    const std::string path = testutil::UniqueTempPath("rehydrate_swapped_certs.log");
     std::remove(path.c_str());
     auto good = core::CertificateStore::Open(rig.cert_log_path);
     auto swapped = core::CertificateStore::Open(path);

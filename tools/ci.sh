@@ -42,6 +42,15 @@
 # to 40 cycles (TSan's interceptors make the full count blow the timeout
 # without covering any new interleavings).
 #
+# Tests are hermetic: every scratch file a test writes is named after the
+# test and its pid (tests/temp_path.h), so the suite must pass under any
+# -j and any schedule. A Release leg reruns the fast suite at -j$(nproc) in
+# random order three times to keep it that way.
+#
+# The bad-signature suite (BadSignatureTest) runs under both sanitizers: its
+# pipelined case rejects a block on the prepare thread while the calling
+# thread waits on the handoff, the failure-teardown path of the pipeline.
+#
 # Every ctest invocation carries a per-test --timeout so a hung soak or a
 # deadlocked reader fails the run instead of wedging CI.
 #
@@ -86,6 +95,10 @@ echo "=== [1c/5] bench_recovery --verify (10k-chain tail-only replay) ==="
 # triple it without covering any new code (the soaks cover crash paths).
 "${PREFIX}-release/bench/bench_recovery" --verify --blocks 10000
 
+echo "=== [1d/5] Release suite, random schedule, repeated (hermeticity) ==="
+ctest --test-dir "${PREFIX}-release" --output-on-failure -j "${JOBS}" \
+  --timeout "${TEST_TIMEOUT}" -LE soak --schedule-random --repeat until-fail:3
+
 echo "=== [2/5] TSan build + threaded tests ==="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
@@ -94,7 +107,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos'
+  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|BadSignature'
   # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest; the obs suites cover
   # the concurrent counter/histogram/trace hammering. Fleet|ShardMap|
   # ShardServing run the router fan-out, scatter-gather fan-out threads, and
@@ -108,11 +121,11 @@ echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
   svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
-  crash_recovery_test ckpt_test chaos_test
+  crash_recovery_test ckpt_test chaos_test dcert_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos'
+  -R 'Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|BadSignature'
   # The checkpoint legs under ASan pin the mmap'd sealed-segment reads and
   # the serialize/deserialize buffer handling in the .dcp codec; the soak's
   # torn-seal site leaves half-written tmp files for Open() to clean up.
