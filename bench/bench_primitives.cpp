@@ -105,6 +105,55 @@ BackendRow MeasureBackend(crypto::ShaBackend backend) {
   return row;
 }
 
+struct VerifyAb {
+  double single_us_per_sig = 0;
+  double batched_us_per_sig = 0;
+  double speedup = 0;
+};
+
+/// Interleaved A/B of per-signature Verify against one VerifyBatch call over
+/// `n_sigs` valid signatures from `n_signers` keys (round-robin).
+VerifyAb MeasureVerifyBatch(int n_sigs, int n_signers) {
+  std::vector<crypto::SecretKey> sks;
+  for (int i = 0; i < n_signers; ++i) {
+    sks.push_back(crypto::SecretKey::FromSeed(StrBytes("signer" + std::to_string(i))));
+  }
+  std::vector<crypto::PublicKey> pks;
+  std::vector<Hash256> digests;
+  std::vector<crypto::Signature> sigs;
+  for (int i = 0; i < n_sigs; ++i) {
+    const crypto::SecretKey& sk = sks[static_cast<std::size_t>(i % n_signers)];
+    Hash256 d = crypto::Sha256::Digest(StrBytes("announce" + std::to_string(i)));
+    pks.push_back(sk.Public());
+    digests.push_back(d);
+    sigs.push_back(sk.Sign(d));
+  }
+  std::vector<crypto::VerifyJob> vjobs(static_cast<std::size_t>(n_sigs));
+  for (std::size_t i = 0; i < vjobs.size(); ++i) vjobs[i] = {&pks[i], &digests[i], &sigs[i]};
+  auto [single_ns, batch_ns] = MinNsPerCallAb(
+      [&] {
+        for (std::size_t i = 0; i < vjobs.size(); ++i) {
+          if (!crypto::Verify(pks[i], digests[i], sigs[i])) std::abort();
+        }
+      },
+      [&] {
+        auto ok = crypto::VerifyBatch(vjobs.data(), vjobs.size());
+        for (bool b : ok) {
+          if (!b) std::abort();
+        }
+      },
+      /*reps=*/3, /*min_ms=*/150.0);
+  VerifyAb ab;
+  ab.single_us_per_sig = single_ns / n_sigs / 1e3;
+  ab.batched_us_per_sig = batch_ns / n_sigs / 1e3;
+  ab.speedup = single_ns / batch_ns;
+  std::printf("Schnorr verify (%d sigs, %d signers): single %.0f us/sig, "
+              "batched %.0f us/sig -> %.2fx\n",
+              n_sigs, n_signers, ab.single_us_per_sig, ab.batched_us_per_sig,
+              ab.speedup);
+  return ab;
+}
+
 Hash256 KeyOf(int i) {
   return crypto::Sha256::Digest(StrBytes("key" + std::to_string(i)));
 }
@@ -246,51 +295,22 @@ int main(int argc, char** argv) {
               smt_speedup);
 
   // --- secp256k1: single vs batched verification -----------------------
-  constexpr int kSigners = 4;   // an announcement flood from few validators
-  constexpr int kSigs = 32;
-  std::vector<crypto::SecretKey> sks;
-  for (int i = 0; i < kSigners; ++i) {
-    sks.push_back(crypto::SecretKey::FromSeed(StrBytes("signer" + std::to_string(i))));
-  }
-  std::vector<crypto::PublicKey> pks;
-  std::vector<Hash256> digests;
-  std::vector<crypto::Signature> sigs;
-  for (int i = 0; i < kSigs; ++i) {
-    const crypto::SecretKey& sk = sks[i % kSigners];
-    Hash256 d = crypto::Sha256::Digest(StrBytes("announce" + std::to_string(i)));
-    pks.push_back(sk.Public());
-    digests.push_back(d);
-    sigs.push_back(sk.Sign(d));
-  }
-  std::vector<crypto::VerifyJob> vjobs(kSigs);
-  for (int i = 0; i < kSigs; ++i) vjobs[i] = {&pks[i], &digests[i], &sigs[i]};
-  auto [single_ns, vbatch_ns] = MinNsPerCallAb(
-      [&] {
-        for (int i = 0; i < kSigs; ++i) {
-          if (!crypto::Verify(pks[i], digests[i], sigs[i])) std::abort();
-        }
-      },
-      [&] {
-        auto ok = crypto::VerifyBatch(vjobs.data(), kSigs);
-        for (bool b : ok) {
-          if (!b) std::abort();
-        }
-      },
-      /*reps=*/3, /*min_ms=*/150.0);
-  double verify_speedup = single_ns / vbatch_ns;
-  std::printf("Schnorr verify (%d sigs, %d signers): single %.0f us/sig, "
-              "batched %.0f us/sig -> %.2fx\n",
-              kSigs, kSigners, single_ns / kSigs / 1e3, vbatch_ns / kSigs / 1e3,
-              verify_speedup);
+  // An announcement flood from few validators, then the certify block
+  // shapes: 2 (IOHeavy) and 8 (SmallBank) tx signatures from distinct keys.
+  const VerifyAb flood = MeasureVerifyBatch(/*n_sigs=*/32, /*n_signers=*/4);
+  const VerifyAb block2 = MeasureVerifyBatch(/*n_sigs=*/2, /*n_signers=*/2);
+  const VerifyAb block8 = MeasureVerifyBatch(/*n_sigs=*/8, /*n_signers=*/8);
 
   // --- legacy constants kept for regression tracking -------------------
   auto sk = crypto::SecretKey::FromSeed(StrBytes("bench"));
   Hash256 digest = crypto::Sha256::Digest(StrBytes("message"));
   double sign_ns = NsPerCall([&] { sk.Sign(digest); }, 300.0);
+  const crypto::U256 base_scalar = crypto::U256::FromHash(digest);
+  double smb_ns = MinNsPerCall([&] { crypto::ScalarMulBase(base_scalar); });
   sgxsim::Enclave enclave("bench", "1.0");
   double ecall_ns = NsPerCall([&] { enclave.Ecall(64, [] { return 1; }); });
-  std::printf("Schnorr sign: %.0f us;  Ecall dispatch: %.0f ns\n", sign_ns / 1e3,
-              ecall_ns);
+  std::printf("Schnorr sign: %.0f us;  k*G (comb): %.1f us;  Ecall dispatch: %.0f ns\n",
+              sign_ns / 1e3, smb_ns / 1e3, ecall_ns);
 
   if (!json_path.empty()) {
     std::vector<std::string> backend_rows;
@@ -315,10 +335,15 @@ int main(int argc, char** argv) {
         .Put("smt_update_batch_speedup", smt_speedup)
         .Put("smt_pernode_ms", smt_pernode_ns / 1e6)
         .Put("smt_batched_ms", smt_batched_ns / 1e6)
-        .Put("verify_batch_speedup", verify_speedup)
-        .Put("verify_single_us_per_sig", single_ns / kSigs / 1e3)
-        .Put("verify_batched_us_per_sig", vbatch_ns / kSigs / 1e3)
+        .Put("verify_batch_speedup", flood.speedup)
+        .Put("verify_single_us_per_sig", flood.single_us_per_sig)
+        .Put("verify_batched_us_per_sig", flood.batched_us_per_sig)
+        .Put("verify_batch_n2_distinct_speedup", block2.speedup)
+        .Put("verify_batch_n2_batched_us_per_sig", block2.batched_us_per_sig)
+        .Put("verify_batch_n8_distinct_speedup", block8.speedup)
+        .Put("verify_batch_n8_batched_us_per_sig", block8.batched_us_per_sig)
         .Put("schnorr_sign_us", sign_ns / 1e3)
+        .Put("scalar_mul_base_us", smb_ns / 1e3)
         .Put("ecall_dispatch_ns", ecall_ns);
     WriteJsonFile(json_path, doc.Str());
   }

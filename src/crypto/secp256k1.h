@@ -1,5 +1,5 @@
-// secp256k1 group arithmetic (Jacobian coordinates) built on the U256 modular
-// toolkit. Only what the signature scheme needs: point add/double, scalar
+// secp256k1 group arithmetic (Jacobian coordinates over a specialised mod-p
+// field). Only what the signature scheme needs: point add/double, scalar
 // multiplication, and (de)serialization of affine points.
 #pragma once
 
@@ -52,9 +52,9 @@ JacobianPoint Double(const JacobianPoint& p);
 JacobianPoint AddJacobian(const JacobianPoint& p, const JacobianPoint& q);
 JacobianPoint AddMixed(const JacobianPoint& p, const AffinePoint& q);
 
-/// k * P via double-and-add over the 256 bits of k.
+/// k * P (GLV split, wNAF ladder).
 JacobianPoint ScalarMul(const U256& k, const AffinePoint& p);
-/// k * G with the fixed generator.
+/// k * G with the fixed generator (precomputed comb, no doublings).
 JacobianPoint ScalarMulBase(const U256& k);
 /// a*G + b*P — the verifier's workhorse (Shamir's trick).
 JacobianPoint DoubleScalarMul(const U256& a, const U256& b, const AffinePoint& p);
@@ -65,9 +65,9 @@ struct MsmTerm {
   AffinePoint point;
 };
 
-/// Σ scalar_i * point_i with one shared doubling ladder (Strauss): 256
-/// doublings total regardless of n, plus ~64 windowed additions per term.
-/// The batch verifier's workhorse.
+/// Σ scalar_i * point_i with one shared doubling ladder (Strauss): ~129
+/// doublings total regardless of n, plus ~43 wNAF additions per term after
+/// the GLV split. The batch verifier's workhorse.
 JacobianPoint MultiScalarMul(const MsmTerm* terms, std::size_t n);
 
 /// The even-Y curve point with x-coordinate `x`, or nullopt when x is not on

@@ -1,8 +1,7 @@
 #include "crypto/signature.h"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "crypto/sha256.h"
 
@@ -11,23 +10,30 @@ namespace dcert::crypto {
 namespace {
 
 // Tagged hash (BIP340 style): H(H(tag) || H(tag) || payload) gives domain
-// separation between the challenge hash and every other SHA-256 use.
-Hash256 TaggedHash(std::string_view tag, ByteView payload) {
-  Hash256 tag_hash = Sha256::Digest(StrBytes(tag));
+// separation between the challenge hash and every other SHA-256 use. The
+// 64-byte prefix is exactly one block, so each tag's context is absorbed once
+// (a function-local static at the call site) and copied per hash.
+Sha256 TagContext(std::string_view tag) {
+  const Hash256 tag_hash = Sha256::Digest(StrBytes(tag));
   Sha256 ctx;
   ctx.Update(tag_hash.View());
   ctx.Update(tag_hash.View());
+  return ctx;
+}
+
+Hash256 TaggedHash(const Sha256& tag_ctx, ByteView payload) {
+  Sha256 ctx = tag_ctx;
   ctx.Update(payload);
   return ctx.Finalize();
 }
 
 U256 ChallengeScalar(const U256& rx, const PublicKey& pk, const Hash256& digest) {
-  Bytes payload = rx.ToBytesBE();
-  Bytes pk_bytes = pk.Serialize();
-  payload.insert(payload.end(), pk_bytes.begin(), pk_bytes.end());
-  Append(payload, digest);
-  Hash256 e = TaggedHash("DCert/challenge", payload);
-  return Curve().Fn().Reduce(U256::FromHash(e));
+  static const Sha256 kChallengeTag = TagContext("DCert/challenge");
+  Sha256 ctx = kChallengeTag;
+  ctx.Update(rx.ToBytesBE());
+  ctx.Update(pk.Serialize());
+  ctx.Update(digest.View());
+  return Curve().Fn().Reduce(U256::FromHash(ctx.Finalize()));
 }
 
 }  // namespace
@@ -62,7 +68,8 @@ SecretKey SecretKey::FromSeed(ByteView seed) {
     for (int i = 0; i < 4; ++i) {
       material.push_back(static_cast<std::uint8_t>(counter >> (8 * i)));
     }
-    Hash256 h = TaggedHash("DCert/keygen", material);
+    static const Sha256 kKeygenTag = TagContext("DCert/keygen");
+    Hash256 h = TaggedHash(kKeygenTag, material);
     U256 candidate = fn.Reduce(U256::FromHash(h));
     if (candidate.IsZero()) continue;
     AffinePoint pub = ScalarMulBase(candidate).ToAffine();
@@ -139,19 +146,25 @@ bool CombinedCheck(const std::vector<BatchTerm>& terms, std::size_t lo,
                    std::size_t hi) {
   const ModArith& fn = Curve().Fn();
   U256 s_sum(0);
-  std::map<Bytes, std::pair<const PublicKey*, U256>> per_pk;
   std::vector<MsmTerm> msm;
-  msm.reserve(hi - lo + 2);
+  msm.reserve(2 * (hi - lo) + 1);
   for (std::size_t i = lo; i < hi; ++i) {
     const BatchTerm& t = terms[i];
     s_sum = fn.Add(s_sum, fn.Mul(t.a, t.s));
     msm.push_back({fn.Neg(t.a), t.r});
-    auto [it, fresh] = per_pk.try_emplace(t.pk->Serialize(), t.pk, t.ae);
-    if (!fresh) it->second.second = fn.Add(it->second.second, t.ae);
   }
   msm.push_back({s_sum, Generator()});
-  for (const auto& [bytes, entry] : per_pk) {
-    msm.push_back({fn.Neg(entry.second), entry.first->point});
+  // Then one -Σ a_i e_i term per distinct key, merged by comparing points.
+  const std::size_t first_pk = msm.size();
+  for (std::size_t i = lo; i < hi; ++i) {
+    const BatchTerm& t = terms[i];
+    auto same_key = [&](const MsmTerm& m) { return m.point == t.pk->point; };
+    auto it = std::find_if(msm.begin() + first_pk, msm.end(), same_key);
+    if (it == msm.end()) {
+      msm.push_back({fn.Neg(t.ae), t.pk->point});
+    } else {
+      it->scalar = fn.Sub(it->scalar, t.ae);
+    }
   }
   return MultiScalarMul(msm.data(), msm.size()).IsInfinity();
 }
@@ -226,7 +239,8 @@ std::vector<bool> VerifyBatch(const VerifyJob* jobs, std::size_t n) {
       for (int b = 0; b < 8; ++b) {
         material.push_back(static_cast<std::uint8_t>(i >> (8 * b)));
       }
-      Hash256 h = TaggedHash("DCert/batchcoeff", material);
+      static const Sha256 kBatchCoeffTag = TagContext("DCert/batchcoeff");
+      Hash256 h = TaggedHash(kBatchCoeffTag, material);
       U256 a = fn.Reduce(U256::FromHash(h));
       terms[i].a = a.IsZero() ? U256(1) : a;
     }

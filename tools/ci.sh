@@ -9,8 +9,13 @@
 # must be just as race-free as the hardware paths — and this is the only
 # way the fallback gets sanitizer coverage on SHA-NI machines), and a
 # UBSanitizer build (DCERT_SANITIZE=undefined) running the crypto/tree
-# suites over the multi-buffer SHA-256 backends, the batch verifier, and
-# the arena allocator (pointer/alignment/shift UB in kernel and pool code).
+# suites over the multi-buffer SHA-256 backends, the batch verifier, the
+# secp256k1 kernel (its __int128 field shifts and signed wNAF digits, checked
+# against the naive reference model), the U256 toolkit, and the arena
+# allocator (pointer/alignment/shift UB in kernel and pool code).
+#
+# The ASan leg also runs the secp256k1, reference-model and signature suites:
+# an out-of-range wNAF table or comb index would read past a static table.
 #
 # The Svc selection deliberately includes SvcFaultTest (the seeded
 # fault-injection soak and busy-shedding retry tests) and SvcTcpTest
@@ -121,14 +126,17 @@ echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
   svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
-  crash_recovery_test ckpt_test chaos_test dcert_test
+  crash_recovery_test ckpt_test chaos_test dcert_test secp256k1_test \
+  secp256k1_reference_test signature_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|BadSignature'
+  -R 'Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|Signature|VerifyBatch|Secp256k1'
   # The checkpoint legs under ASan pin the mmap'd sealed-segment reads and
   # the serialize/deserialize buffer handling in the .dcp codec; the soak's
   # torn-seal site leaves half-written tmp files for Open() to clean up.
+  # Signature matches SignatureTest/SignatureSweep/BadSignatureTest;
+  # Secp256k1 matches the kernel suite and its reference-model suite.
 
 echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # Same TSan build, but every digest takes the portable scalar road. The
@@ -143,13 +151,15 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
 echo "=== [5/5] UBSan build + SIMD/crypto/tree tests ==="
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target \
-  sha256_test signature_test secp256k1_test smt_test merkle_tree_test \
-  mbtree_test common_test dcert_test
+  sha256_test signature_test secp256k1_test secp256k1_reference_test \
+  u256_test smt_test merkle_tree_test mbtree_test common_test dcert_test
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Curve|Smt|Merkle|Mb|Arena|Dcert'
+  -R 'Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Secp256k1Reference|U256|Curve|Smt|Merkle|Mb|Arena|Dcert'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
   # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
-  # verification equation; ArenaTest covers the placement-new pool.
+  # verification equation; Secp256k1ReferenceTest drives the GLV split and
+  # wNAF recoding through edge scalars; ArenaTest covers the placement-new
+  # pool.
 
 echo "CI OK"
