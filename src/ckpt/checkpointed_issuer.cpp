@@ -48,7 +48,7 @@ Result<CheckpointedIssuer> CheckpointedIssuer::Open(
   auto store = CheckpointStore::Open(ckpt.dir);
   if (!store) return R(store.status());
 
-  const bool shadow_active = ckpt.with_index && ckpt.interval > 0;
+  const bool shadow_active = ckpt.interval > 0;
   query::HistoricalIndex shadow;
   std::uint64_t shadow_next = 1;
   std::uint64_t last_ckpt = 0;
@@ -169,15 +169,13 @@ Status CheckpointedIssuer::WriteCheckpointNow() {
   if (Status st = store_.Prune(config_.keep); !st) return st;
   last_ckpt_ = tip;
 
-  if (config_.compact_logs) {
-    // Compact below the *oldest* retained checkpoint, never the newest: any
-    // retained checkpoint then still has its anchor block + cert and a
-    // replayable tail, so falling back past a rotten newest file works.
-    const std::vector<std::uint64_t> retained = store_.Heights();
-    if (!retained.empty()) {
-      if (Status st = inner_.CompactBelow(retained.front()); !st) return st;
-      IssuerCkptMetrics::Get().compactions->Add(1);
-    }
+  // Compact below the *oldest* retained checkpoint, never the newest: any
+  // retained checkpoint then still has its anchor block + cert and a
+  // replayable tail, so falling back past a rotten newest file works.
+  const std::vector<std::uint64_t> retained = store_.Heights();
+  if (!retained.empty()) {
+    if (Status st = inner_.CompactBelow(retained.front()); !st) return st;
+    IssuerCkptMetrics::Get().compactions->Add(1);
   }
   return Status::Ok();
 }

@@ -1,10 +1,13 @@
 // A DurableCertificateIssuer wrapped with checkpoint cadence and log
 // compaction: every `interval` certified blocks it seals a checkpoint of the
-// issuer's state (and, optionally, the historical index content it shadows),
-// prunes old checkpoints, and compacts log segments below the oldest retained
-// checkpoint. Open() recovers through the newest valid checkpoint — restore
-// the sealed key, install the certified snapshot, replay only the tail — so
-// recovery time is O(delta) in the checkpoint interval, flat in chain length.
+// issuer's state and of the historical index content it shadows (so a
+// rehydrating service restores the index in O(content) instead of replaying
+// the compacted chain), prunes old checkpoints, and compacts log segments
+// below the oldest retained checkpoint (whole sealed segments only, so this
+// needs DurableIssuerOptions::segment_records > 0). Open() recovers through
+// the newest valid checkpoint — restore the sealed key, install the certified
+// snapshot, replay only the tail — so recovery time is O(delta) in the
+// checkpoint interval, flat in chain length.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +32,6 @@ struct CheckpointConfig {
   /// history below the *oldest* retained checkpoint, so every retained
   /// checkpoint stays recoverable even if newer files rot.
   std::size_t keep = 2;
-  /// Shadow a historical index and carry its content in checkpoints, so a
-  /// rehydrating service restores the index in O(content) instead of
-  /// replaying the (compacted) chain.
-  bool with_index = true;
-  /// Compact log segments below the oldest retained checkpoint after each
-  /// write. Requires DurableIssuerOptions::segment_records > 0 to have any
-  /// effect (compaction drops whole sealed segments).
-  bool compact_logs = true;
 };
 
 class CheckpointedIssuer {
@@ -87,9 +82,8 @@ class CheckpointedIssuer {
                      query::HistoricalIndex shadow, std::uint64_t shadow_next,
                      std::uint64_t last_ckpt);
 
-  bool ShadowActive() const {
-    return config_.with_index && config_.interval > 0;
-  }
+  /// The shadow index runs whenever checkpoints are written.
+  bool ShadowActive() const { return config_.interval > 0; }
   /// Applies stored blocks [shadow_next_, height] to the shadow index.
   Status AdvanceShadowTo(std::uint64_t height);
   /// Writes a checkpoint when the cadence is due.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -19,18 +18,6 @@ namespace {
 constexpr std::uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                   0xa54ff53a, 0x510e527f, 0x9b05688c,
                                   0x1f83d9ab, 0x5be0cd19};
-
-// True when the env var is set to anything other than "" or "0".
-bool EnvTruthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-ShaBackend ResolveFromEnv(bool batch) {
-  if (EnvTruthy("DCERT_FORCE_SCALAR_HASH")) return ShaBackend::kScalar;
-  return internal::ResolveShaBackend(std::getenv("DCERT_FORCE_SHA_BACKEND"),
-                                     batch);
-}
 
 // A job plus its padded-block geometry. Blocks that lie fully inside the
 // message are read in place; only the final one or two blocks (0x80 pad,
@@ -73,16 +60,6 @@ void StoreDigest(const std::uint32_t s[8], Hash256* out) {
   StoreDigest(s, out->begin());
 }
 
-// Single-stream fallback for leftovers inside the batch paths: contiguous
-// prefix in one compress call, then the materialized tail blocks.
-void HashOneWith(internal::CompressFn fn, const Prepared& p) {
-  std::uint32_t s[8];
-  std::memcpy(s, kIv, sizeof(s));
-  if (p.full > 0) fn(s, p.job->data, p.full);
-  fn(s, p.tail, p.blocks - p.full);
-  StoreDigest(s, p.job->out);
-}
-
 // Indices sorted by padded block count so equal-length runs can share lanes.
 std::vector<std::size_t> SortedByBlocks(const std::vector<Prepared>& prep) {
   std::vector<std::size_t> order(prep.size());
@@ -92,59 +69,6 @@ std::vector<std::size_t> SortedByBlocks(const std::vector<Prepared>& prep) {
                      return prep[a].blocks < prep[b].blocks;
                    });
   return order;
-}
-
-// Pairs prepared jobs of equal block count through the two-stream SHA-NI
-// compressor; `a` and `b` may alias one Prepared for an odd leftover (the
-// duplicate stream's digest is simply stored twice).
-void ShaNiPair(const Prepared& a, const Prepared& b) {
-  const std::size_t m = a.blocks;
-  constexpr std::size_t kStackBlocks = 64;
-  const std::uint8_t* stack_ptrs[2 * kStackBlocks];
-  std::vector<const std::uint8_t*> heap_ptrs;
-  const std::uint8_t** pa = stack_ptrs;
-  if (m > kStackBlocks) {
-    heap_ptrs.resize(2 * m);
-    pa = heap_ptrs.data();
-  }
-  const std::uint8_t** pb = pa + m;
-  for (std::size_t blk = 0; blk < m; ++blk) {
-    pa[blk] = a.BlockPtr(blk);
-    pb[blk] = b.BlockPtr(blk);
-  }
-  std::uint32_t sa[8], sb[8];
-  std::memcpy(sa, kIv, sizeof(sa));
-  std::memcpy(sb, kIv, sizeof(sb));
-  internal::CompressShaNiX2(sa, pa, sb, pb, m);
-  StoreDigest(sa, a.job->out);
-  StoreDigest(sb, b.job->out);
-}
-
-// Runs four prepared jobs of equal block count through the four-stream
-// SHA-NI compressor.
-void ShaNiQuad(const Prepared* const* group) {
-  const std::size_t m = group[0]->blocks;
-  constexpr std::size_t kStackBlocks = 32;
-  const std::uint8_t* stack_ptrs[4 * kStackBlocks];
-  std::vector<const std::uint8_t*> heap_ptrs;
-  const std::uint8_t** ptrs = stack_ptrs;
-  if (m > kStackBlocks) {
-    heap_ptrs.resize(4 * m);
-    ptrs = heap_ptrs.data();
-  }
-  for (std::size_t blk = 0; blk < m; ++blk) {
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      ptrs[blk * 4 + lane] = group[lane]->BlockPtr(blk);
-    }
-  }
-  std::uint32_t states[32];
-  for (int lane = 0; lane < 4; ++lane) {
-    std::memcpy(states + 8 * lane, kIv, sizeof(kIv));
-  }
-  internal::CompressShaNiX4(states, ptrs, m);
-  for (std::size_t lane = 0; lane < 4; ++lane) {
-    StoreDigest(states + 8 * lane, group[lane]->job->out);
-  }
 }
 
 // Runs up to 8 prepared jobs of equal block count through the AVX2 8-lane
@@ -177,9 +101,9 @@ void Avx2Group(const Prepared* const* group, std::size_t lanes) {
 }
 
 // True when every job pads to the same block count — the dominant case on
-// the Merkle paths (fixed 65-byte node messages). The fast paths below then
-// skip index sorting and bulk preparation and work lane-group at a time on
-// the stack, which roughly halves per-hash overhead for small messages.
+// the Merkle paths (fixed 65-byte node messages). The AVX2 path then skips
+// index sorting and bulk preparation and works lane-group at a time on the
+// stack, which roughly halves per-hash overhead for small messages.
 bool UniformBlocks(const HashJob* jobs, std::size_t n) {
   const std::size_t b0 = internal::PaddedBlockCount(jobs[0].size);
   for (std::size_t i = 1; i < n; ++i) {
@@ -188,57 +112,18 @@ bool UniformBlocks(const HashJob* jobs, std::size_t n) {
   return true;
 }
 
-void HashManyScalar(const HashJob* jobs, std::size_t n) {
+// Scalar and SHA-NI hash one job at a time: contiguous prefix in one
+// compress call, then the materialized tail blocks. Interleaving SHA-NI
+// streams lost its A/B (EXPERIMENTS.md), so there is no lane grouping.
+void HashManyEach(internal::CompressFn fn, const HashJob* jobs, std::size_t n) {
   Prepared p;
   for (std::size_t i = 0; i < n; ++i) {
     Prepare(jobs[i], p);
-    HashOneWith(&internal::CompressScalar, p);
-  }
-}
-
-void HashManyShaNi(const HashJob* jobs, std::size_t n) {
-  if (UniformBlocks(jobs, n)) {
-    Prepared lanes[4];
-    const Prepared* group[4] = {&lanes[0], &lanes[1], &lanes[2], &lanes[3]};
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      for (int k = 0; k < 4; ++k) Prepare(jobs[i + k], lanes[k]);
-      ShaNiQuad(group);
-    }
-    if (i + 2 <= n) {
-      Prepare(jobs[i], lanes[0]);
-      Prepare(jobs[i + 1], lanes[1]);
-      ShaNiPair(lanes[0], lanes[1]);
-      i += 2;
-    }
-    if (i < n) {
-      Prepare(jobs[i], lanes[0]);
-      HashOneWith(&internal::CompressShaNi, lanes[0]);
-    }
-    return;
-  }
-  std::vector<Prepared> prep(n);
-  for (std::size_t i = 0; i < n; ++i) Prepare(jobs[i], prep[i]);
-  const std::vector<std::size_t> order = SortedByBlocks(prep);
-  std::size_t i = 0;
-  while (i < n) {
-    // Run of jobs with the same padded block count; fill quads, then a pair,
-    // then a single within the run.
-    std::size_t j = i + 1;
-    while (j < n && prep[order[j]].blocks == prep[order[i]].blocks) ++j;
-    for (; i + 4 <= j; i += 4) {
-      const Prepared* group[4] = {&prep[order[i]], &prep[order[i + 1]],
-                                  &prep[order[i + 2]], &prep[order[i + 3]]};
-      ShaNiQuad(group);
-    }
-    if (i + 2 <= j) {
-      ShaNiPair(prep[order[i]], prep[order[i + 1]]);
-      i += 2;
-    }
-    if (i < j) {
-      HashOneWith(&internal::CompressShaNi, prep[order[i]]);
-      ++i;
-    }
+    std::uint32_t s[8];
+    std::memcpy(s, kIv, sizeof(s));
+    if (p.full > 0) fn(s, p.job->data, p.full);
+    fn(s, p.tail, p.blocks - p.full);
+    StoreDigest(s, p.job->out);
   }
 }
 
@@ -275,105 +160,13 @@ void HashManyAvx2(const HashJob* jobs, std::size_t n) {
 
 // Pre-padded jobs are contiguous m-block messages, so the single-stream
 // arrangement needs no pointer tables at all: seed, compress, store.
-void HashPaddedShaNiSingle(const PaddedJob* jobs, std::size_t n,
-                           std::size_t m) {
+void HashPaddedEach(internal::CompressFn fn, const PaddedJob* jobs,
+                    std::size_t n, std::size_t m) {
   for (std::size_t i = 0; i < n; ++i) {
     std::uint32_t s[8];
     std::memcpy(s, kIv, sizeof(s));
-    internal::CompressShaNi(s, jobs[i].blocks, m);
+    fn(s, jobs[i].blocks, m);
     StoreDigest(s, jobs[i].out);
-  }
-}
-
-void HashPaddedShaNiMulti(const PaddedJob* jobs, std::size_t n,
-                          std::size_t m) {
-  constexpr std::size_t kStackBlocks = 64;
-  const std::uint8_t* stack_ptrs[4 * kStackBlocks];
-  std::vector<const std::uint8_t*> heap_ptrs;
-  const std::uint8_t** pa = stack_ptrs;
-  if (m > kStackBlocks) {
-    heap_ptrs.resize(4 * m);
-    pa = heap_ptrs.data();
-  }
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t blk = 0; blk < m; ++blk) {
-      for (std::size_t lane = 0; lane < 4; ++lane) {
-        pa[blk * 4 + lane] = jobs[i + lane].blocks + blk * 64;
-      }
-    }
-    std::uint32_t states[32];
-    for (int lane = 0; lane < 4; ++lane) {
-      std::memcpy(states + 8 * lane, kIv, sizeof(kIv));
-    }
-    internal::CompressShaNiX4(states, pa, m);
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      StoreDigest(states + 8 * lane, jobs[i + lane].out);
-    }
-  }
-  const std::uint8_t** pb = pa + m;
-  for (; i + 2 <= n; i += 2) {
-    for (std::size_t blk = 0; blk < m; ++blk) {
-      pa[blk] = jobs[i].blocks + blk * 64;
-      pb[blk] = jobs[i + 1].blocks + blk * 64;
-    }
-    std::uint32_t sa[8], sb[8];
-    std::memcpy(sa, kIv, sizeof(sa));
-    std::memcpy(sb, kIv, sizeof(sb));
-    internal::CompressShaNiX2(sa, pa, sb, pb, m);
-    StoreDigest(sa, jobs[i].out);
-    StoreDigest(sb, jobs[i + 1].out);
-  }
-  if (i < n) {
-    std::uint32_t s[8];
-    std::memcpy(s, kIv, sizeof(s));
-    internal::CompressShaNi(s, jobs[i].blocks, m);
-    StoreDigest(s, jobs[i].out);
-  }
-}
-
-// Whether single-stream SHA-NI beats the interleaved arrangement for
-// fixed-geometry jobs on this host. On bare metal sha256rnds2 pipelines
-// across independent streams and the interleave wins; some virtualized hosts
-// serialize the instruction, which turns the interleave's lane setup into
-// pure overhead. Probed once at first use by timing the two real code paths
-// over a realistic slot array — they produce byte-identical digests, so the
-// choice is performance-only.
-bool NiPaddedPreferSingle() {
-  static const bool prefer_single = [] {
-    constexpr std::size_t kJobs = 256;
-    std::vector<std::uint8_t> slots(kJobs * 128);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      slots[i] = static_cast<std::uint8_t>(i * 31 + 7);
-    }
-    std::vector<std::uint8_t> outs(kJobs * 32);
-    std::vector<PaddedJob> jobs(kJobs);
-    for (std::size_t i = 0; i < kJobs; ++i) {
-      jobs[i] = {slots.data() + i * 128, outs.data() + i * 32};
-    }
-    double single_ns = 1e18, multi_ns = 1e18;
-    for (int trial = 0; trial < 5; ++trial) {
-      auto t0 = std::chrono::steady_clock::now();
-      HashPaddedShaNiSingle(jobs.data(), kJobs, 2);
-      auto t1 = std::chrono::steady_clock::now();
-      HashPaddedShaNiMulti(jobs.data(), kJobs, 2);
-      auto t2 = std::chrono::steady_clock::now();
-      single_ns = std::min(
-          single_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
-      multi_ns = std::min(
-          multi_ns, std::chrono::duration<double, std::nano>(t2 - t1).count());
-    }
-    // Stick with the interleave unless single-stream is clearly faster.
-    return single_ns * 1.05 < multi_ns;
-  }();
-  return prefer_single;
-}
-
-void HashPaddedShaNi(const PaddedJob* jobs, std::size_t n, std::size_t m) {
-  if (NiPaddedPreferSingle()) {
-    HashPaddedShaNiSingle(jobs, n, m);
-  } else {
-    HashPaddedShaNiMulti(jobs, n, m);
   }
 }
 
@@ -410,19 +203,14 @@ void HashPaddedAvx2(const PaddedJob* jobs, std::size_t n, std::size_t m) {
 void HashPadded(const PaddedJob* jobs, std::size_t n, std::size_t m) {
   if (n == 0) return;
   switch (ActiveBatchBackend()) {
+    case ShaBackend::kScalar:
+      HashPaddedEach(&internal::CompressScalar, jobs, n, m);
+      break;
     case ShaBackend::kShaNi:
-      HashPaddedShaNi(jobs, n, m);
+      HashPaddedEach(&internal::CompressShaNi, jobs, n, m);
       break;
     case ShaBackend::kAvx2:
       HashPaddedAvx2(jobs, n, m);
-      break;
-    case ShaBackend::kScalar:
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint32_t s[8];
-        std::memcpy(s, kIv, sizeof(s));
-        internal::CompressScalar(s, jobs[i].blocks, m);
-        StoreDigest(s, jobs[i].out);
-      }
       break;
   }
 }
@@ -446,12 +234,14 @@ bool ShaBackendSupported(ShaBackend b) {
 }
 
 ShaBackend ActiveBatchBackend() {
-  static const ShaBackend backend = ResolveFromEnv(/*batch=*/true);
+  static const ShaBackend backend = internal::ResolveShaBackend(
+      std::getenv("DCERT_FORCE_SHA_BACKEND"), /*batch=*/true);
   return backend;
 }
 
 ShaBackend ActiveStreamBackend() {
-  static const ShaBackend backend = ResolveFromEnv(/*batch=*/false);
+  static const ShaBackend backend = internal::ResolveShaBackend(
+      std::getenv("DCERT_FORCE_SHA_BACKEND"), /*batch=*/false);
   return backend;
 }
 
@@ -489,8 +279,12 @@ void HashManyWith(ShaBackend backend, const HashJob* jobs, std::size_t n) {
                              ShaBackendName(backend));
   }
   switch (backend) {
-    case ShaBackend::kScalar: HashManyScalar(jobs, n); break;
-    case ShaBackend::kShaNi: HashManyShaNi(jobs, n); break;
+    case ShaBackend::kScalar:
+      HashManyEach(&internal::CompressScalar, jobs, n);
+      break;
+    case ShaBackend::kShaNi:
+      HashManyEach(&internal::CompressShaNi, jobs, n);
+      break;
     case ShaBackend::kAvx2: HashManyAvx2(jobs, n); break;
   }
 }

@@ -1,13 +1,12 @@
-// Multi-buffer SHA-256: hashes many independent messages at once, filling
-// SIMD lanes (AVX2 8-lane transposed rounds) or interleaving hardware streams
-// (SHA-NI two-way) instead of walking messages one at a time. This is the
-// engine behind batched Merkle-node rehashing — every tree in src/mht feeds
-// its per-level sibling-pair jobs through HashMany.
+// Multi-buffer SHA-256: hashes many independent messages in one call. On
+// AVX2 it fills eight SIMD lanes (transposed rounds); on SHA-NI and scalar it
+// walks the jobs one at a time through the single-stream compressor. This is
+// the engine behind batched Merkle-node rehashing — every tree in src/mht
+// feeds its per-level sibling-pair jobs through HashMany.
 //
 // Backend selection is resolved once per process from CPU features, with a
 // runtime override for testing the fallback paths on any machine:
-//   DCERT_FORCE_SCALAR_HASH=1          — portable scalar everywhere
-//   DCERT_FORCE_SHA_BACKEND=scalar|shani|avx2
+//   DCERT_FORCE_SHA_BACKEND=scalar|shani|avx2   (scalar = portable everywhere)
 // Requesting an unsupported ISA falls back to the best supported backend
 // (never to an unsupported one); ActiveBatchBackend()/ActiveStreamBackend()
 // report what actually runs.
@@ -22,7 +21,7 @@ namespace dcert::crypto {
 
 enum class ShaBackend : std::uint8_t {
   kScalar = 0,  // portable C++ (always available)
-  kShaNi = 1,   // x86 SHA extensions; batch path interleaves two streams
+  kShaNi = 1,   // x86 SHA extensions, one stream at a time
   kAvx2 = 2,    // 8-lane transposed rounds (batch path only)
 };
 
@@ -48,8 +47,8 @@ struct HashJob {
 };
 
 /// Hashes every job (one-shot SHA-256 each) using the active batch backend.
-/// Jobs may have arbitrary, differing lengths; lanes are grouped by padded
-/// block count internally. Byte-identical to Sha256::Digest per job.
+/// Jobs may have arbitrary, differing lengths; the AVX2 backend groups lanes
+/// by padded block count internally. Byte-identical to Sha256::Digest per job.
 void HashMany(const HashJob* jobs, std::size_t n);
 
 /// One pre-padded message: `blocks` points at m complete 64-byte blocks

@@ -21,26 +21,6 @@ void CompressShaNi(std::uint32_t state[8], const std::uint8_t* blocks,
                    std::size_t n);
 bool ShaNiSupported();
 
-/// Two independent SHA-NI streams advanced in lockstep, one instruction
-/// stream: sha256rnds2 has multi-cycle latency on a serial dependency chain,
-/// so interleaving two chains nearly doubles throughput. `a_blocks` /
-/// `b_blocks` are arrays of `n` pointers, each to one 64-byte block (blocks
-/// need not be contiguous — padded tail blocks live in per-job scratch).
-/// Only callable when ShaNiSupported() is true.
-void CompressShaNiX2(std::uint32_t sa[8], const std::uint8_t* const* a_blocks,
-                     std::uint32_t sb[8], const std::uint8_t* const* b_blocks,
-                     std::size_t n);
-
-/// Four independent SHA-NI streams in one instruction stream. sha256rnds2
-/// still has latency headroom with two chains (≈6-cycle latency, 1/cycle
-/// throughput), so four chains hide more of it; the schedule registers spill
-/// to L1 but the rnds2 chains dominate. Layout matches CompressAvx2x8:
-/// `states` is lane-major (lane i's 8 words at states + 8*i); `blocks` holds
-/// n*4 pointers, blocks[b*4 + lane] = lane's b-th 64-byte block. Only
-/// callable when ShaNiSupported() is true.
-void CompressShaNiX4(std::uint32_t* states, const std::uint8_t* const* blocks,
-                     std::size_t n);
-
 /// AVX2 8-lane transposed-state path: eight independent messages advance one
 /// 64-byte block per step. `states` is lane-major (lane i's 8 words at
 /// states + 8*i); `blocks` holds n*8 pointers, blocks[b*8 + lane] = lane i's
@@ -50,7 +30,7 @@ void CompressAvx2x8(std::uint32_t* states, const std::uint8_t* const* blocks,
 bool Avx2Supported();
 
 /// Implementation for the single-stream path on this process (resolved once;
-/// honours DCERT_FORCE_SCALAR_HASH / DCERT_FORCE_SHA_BACKEND).
+/// honours DCERT_FORCE_SHA_BACKEND).
 CompressFn GetCompressFn();
 
 /// Round constants, shared by both implementations.

@@ -140,295 +140,6 @@ void CompressShaNi(std::uint32_t state[8], const std::uint8_t* blocks,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-namespace {
-
-// (ABEF, CDGH) register pair for one stream, with the linear repacking from
-// CompressShaNi factored out so the two-stream variant can reuse it.
-struct NiState {
-  __m128i abef;
-  __m128i cdgh;
-
-  void Load(const std::uint32_t state[8]) {
-    __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-    __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-    tmp = _mm_shuffle_epi32(tmp, 0xB1);  // CDAB
-    hi = _mm_shuffle_epi32(hi, 0x1B);    // EFGH
-    abef = _mm_alignr_epi8(tmp, hi, 8);  // ABEF
-    cdgh = _mm_blend_epi16(hi, tmp, 0xF0);
-  }
-  void Store(std::uint32_t state[8]) const {
-    __m128i tmp = _mm_shuffle_epi32(abef, 0x1B);  // FEBA
-    __m128i hi = _mm_shuffle_epi32(cdgh, 0xB1);   // DCHG
-    __m128i lo = _mm_blend_epi16(tmp, hi, 0xF0);  // DCBA
-    hi = _mm_alignr_epi8(hi, tmp, 8);             // HGFE
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), lo);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), hi);
-  }
-};
-
-}  // namespace
-
-void CompressShaNiX2(std::uint32_t sa[8], const std::uint8_t* const* a_blocks,
-                     std::uint32_t sb[8], const std::uint8_t* const* b_blocks,
-                     std::size_t n) {
-  const __m128i kByteSwapMask =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-
-  NiState A, B;
-  A.Load(sa);
-  B.Load(sb);
-
-  for (std::size_t blk = 0; blk < n; ++blk) {
-    const std::uint8_t* pa = a_blocks[blk];
-    const std::uint8_t* pb = b_blocks[blk];
-    const __m128i abef_save_a = A.abef, cdgh_save_a = A.cdgh;
-    const __m128i abef_save_b = B.abef, cdgh_save_b = B.cdgh;
-    __m128i msg_a, msg_b, tmp_a, tmp_b;
-    __m128i w0a, w1a, w2a, w3a, w0b, w1b, w2b, w3b;
-
-    // Rounds 0-3. Every step is issued for both streams back to back; the
-    // two rnds2 dependency chains are independent, so they pipeline.
-    w0a = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + 0)), kByteSwapMask);
-    w0b = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + 0)), kByteSwapMask);
-    msg_a = _mm_add_epi32(w0a, LoadK(0));
-    msg_b = _mm_add_epi32(w0b, LoadK(0));
-    A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);
-    B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);
-    msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-    msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-    A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);
-    B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);
-
-    // Rounds 4-7.
-    w1a = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + 16)), kByteSwapMask);
-    w1b = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + 16)), kByteSwapMask);
-    msg_a = _mm_add_epi32(w1a, LoadK(1));
-    msg_b = _mm_add_epi32(w1b, LoadK(1));
-    A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);
-    B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);
-    msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-    msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-    A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);
-    B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);
-    w0a = _mm_sha256msg1_epu32(w0a, w1a);
-    w0b = _mm_sha256msg1_epu32(w0b, w1b);
-
-    // Rounds 8-11.
-    w2a = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + 32)), kByteSwapMask);
-    w2b = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + 32)), kByteSwapMask);
-    msg_a = _mm_add_epi32(w2a, LoadK(2));
-    msg_b = _mm_add_epi32(w2b, LoadK(2));
-    A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);
-    B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);
-    msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-    msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-    A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);
-    B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);
-    w1a = _mm_sha256msg1_epu32(w1a, w2a);
-    w1b = _mm_sha256msg1_epu32(w1b, w2b);
-
-    // Rounds 12-15 load the last message quad; from here each group also
-    // advances the schedule (same flow as the single-stream version).
-    w3a = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + 48)), kByteSwapMask);
-    w3b = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + 48)), kByteSwapMask);
-
-#define DCERT_SHA_GROUP_X2(group, wa, wb, wd)                     \
-  msg_a = _mm_add_epi32(wa##a, LoadK(group));                     \
-  msg_b = _mm_add_epi32(wa##b, LoadK(group));                     \
-  A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);          \
-  B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);          \
-  tmp_a = _mm_alignr_epi8(wa##a, wd##a, 4);                       \
-  tmp_b = _mm_alignr_epi8(wa##b, wd##b, 4);                       \
-  wb##a = _mm_add_epi32(wb##a, tmp_a);                            \
-  wb##b = _mm_add_epi32(wb##b, tmp_b);                            \
-  wb##a = _mm_sha256msg2_epu32(wb##a, wa##a);                     \
-  wb##b = _mm_sha256msg2_epu32(wb##b, wa##b);                     \
-  msg_a = _mm_shuffle_epi32(msg_a, 0x0E);                         \
-  msg_b = _mm_shuffle_epi32(msg_b, 0x0E);                         \
-  A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);          \
-  B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);          \
-  wd##a = _mm_sha256msg1_epu32(wd##a, wa##a);                     \
-  wd##b = _mm_sha256msg1_epu32(wd##b, wa##b);
-
-    DCERT_SHA_GROUP_X2(3, w3, w0, w2)    // rounds 12-15
-    DCERT_SHA_GROUP_X2(4, w0, w1, w3)    // rounds 16-19
-    DCERT_SHA_GROUP_X2(5, w1, w2, w0)    // rounds 20-23
-    DCERT_SHA_GROUP_X2(6, w2, w3, w1)    // rounds 24-27
-    DCERT_SHA_GROUP_X2(7, w3, w0, w2)    // rounds 28-31
-    DCERT_SHA_GROUP_X2(8, w0, w1, w3)    // rounds 32-35
-    DCERT_SHA_GROUP_X2(9, w1, w2, w0)    // rounds 36-39
-    DCERT_SHA_GROUP_X2(10, w2, w3, w1)   // rounds 40-43
-    DCERT_SHA_GROUP_X2(11, w3, w0, w2)   // rounds 44-47
-    DCERT_SHA_GROUP_X2(12, w0, w1, w3)   // rounds 48-51
-#undef DCERT_SHA_GROUP_X2
-
-    // Rounds 52-55: final msg2 for w2, no more msg1 needed.
-    msg_a = _mm_add_epi32(w1a, LoadK(13));
-    msg_b = _mm_add_epi32(w1b, LoadK(13));
-    A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);
-    B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);
-    tmp_a = _mm_alignr_epi8(w1a, w0a, 4);
-    tmp_b = _mm_alignr_epi8(w1b, w0b, 4);
-    w2a = _mm_add_epi32(w2a, tmp_a);
-    w2b = _mm_add_epi32(w2b, tmp_b);
-    w2a = _mm_sha256msg2_epu32(w2a, w1a);
-    w2b = _mm_sha256msg2_epu32(w2b, w1b);
-    msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-    msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-    A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);
-    B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);
-
-    // Rounds 56-59.
-    msg_a = _mm_add_epi32(w2a, LoadK(14));
-    msg_b = _mm_add_epi32(w2b, LoadK(14));
-    A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);
-    B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);
-    tmp_a = _mm_alignr_epi8(w2a, w1a, 4);
-    tmp_b = _mm_alignr_epi8(w2b, w1b, 4);
-    w3a = _mm_add_epi32(w3a, tmp_a);
-    w3b = _mm_add_epi32(w3b, tmp_b);
-    w3a = _mm_sha256msg2_epu32(w3a, w2a);
-    w3b = _mm_sha256msg2_epu32(w3b, w2b);
-    msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-    msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-    A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);
-    B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);
-
-    // Rounds 60-63.
-    msg_a = _mm_add_epi32(w3a, LoadK(15));
-    msg_b = _mm_add_epi32(w3b, LoadK(15));
-    A.cdgh = _mm_sha256rnds2_epu32(A.cdgh, A.abef, msg_a);
-    B.cdgh = _mm_sha256rnds2_epu32(B.cdgh, B.abef, msg_b);
-    msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-    msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-    A.abef = _mm_sha256rnds2_epu32(A.abef, A.cdgh, msg_a);
-    B.abef = _mm_sha256rnds2_epu32(B.abef, B.cdgh, msg_b);
-
-    A.abef = _mm_add_epi32(A.abef, abef_save_a);
-    B.abef = _mm_add_epi32(B.abef, abef_save_b);
-    A.cdgh = _mm_add_epi32(A.cdgh, cdgh_save_a);
-    B.cdgh = _mm_add_epi32(B.cdgh, cdgh_save_b);
-  }
-
-  A.Store(sa);
-  B.Store(sb);
-}
-
-void CompressShaNiX4(std::uint32_t* states, const std::uint8_t* const* blocks,
-                     std::size_t n) {
-  const __m128i kByteSwapMask =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-
-  NiState S[4];
-  for (int l = 0; l < 4; ++l) S[l].Load(states + 8 * l);
-
-  for (std::size_t blk = 0; blk < n; ++blk) {
-    __m128i save_abef[4], save_cdgh[4];
-    __m128i w[4][4];  // w[quad][lane]
-    __m128i msg[4], tmp[4];
-    for (int l = 0; l < 4; ++l) {
-      save_abef[l] = S[l].abef;
-      save_cdgh[l] = S[l].cdgh;
-    }
-
-// One message quad loaded and byte-swapped for all four lanes.
-#define DCERT_X4_LOAD(q)                                                   \
-  for (int l = 0; l < 4; ++l) {                                            \
-    w[q][l] = _mm_shuffle_epi8(                                            \
-        _mm_loadu_si128(                                                   \
-            reinterpret_cast<const __m128i*>(blocks[blk * 4 + l] + 16 * (q))), \
-        kByteSwapMask);                                                    \
-  }
-
-// Four rounds for all lanes without schedule advance (first three groups).
-#define DCERT_X4_ROUNDS(group, q)                                          \
-  for (int l = 0; l < 4; ++l) msg[l] = _mm_add_epi32(w[q][l], LoadK(group)); \
-  for (int l = 0; l < 4; ++l)                                              \
-    S[l].cdgh = _mm_sha256rnds2_epu32(S[l].cdgh, S[l].abef, msg[l]);       \
-  for (int l = 0; l < 4; ++l) msg[l] = _mm_shuffle_epi32(msg[l], 0x0E);    \
-  for (int l = 0; l < 4; ++l)                                              \
-    S[l].abef = _mm_sha256rnds2_epu32(S[l].abef, S[l].cdgh, msg[l]);
-
-// Schedule advance: wd = msg1(wd, wa) (fed by the group that consumed wa).
-#define DCERT_X4_MSG1(wd, wa)                                              \
-  for (int l = 0; l < 4; ++l)                                              \
-    w[wd][l] = _mm_sha256msg1_epu32(w[wd][l], w[wa][l]);
-
-// Full middle group: rounds + wb update (alignr/msg2) + wd msg1.
-#define DCERT_X4_GROUP(group, wa, wb, wd)                                  \
-  for (int l = 0; l < 4; ++l) msg[l] = _mm_add_epi32(w[wa][l], LoadK(group)); \
-  for (int l = 0; l < 4; ++l)                                              \
-    S[l].cdgh = _mm_sha256rnds2_epu32(S[l].cdgh, S[l].abef, msg[l]);       \
-  for (int l = 0; l < 4; ++l) tmp[l] = _mm_alignr_epi8(w[wa][l], w[wd][l], 4); \
-  for (int l = 0; l < 4; ++l) w[wb][l] = _mm_add_epi32(w[wb][l], tmp[l]);  \
-  for (int l = 0; l < 4; ++l)                                              \
-    w[wb][l] = _mm_sha256msg2_epu32(w[wb][l], w[wa][l]);                   \
-  for (int l = 0; l < 4; ++l) msg[l] = _mm_shuffle_epi32(msg[l], 0x0E);    \
-  for (int l = 0; l < 4; ++l)                                              \
-    S[l].abef = _mm_sha256rnds2_epu32(S[l].abef, S[l].cdgh, msg[l]);       \
-  for (int l = 0; l < 4; ++l)                                              \
-    w[wd][l] = _mm_sha256msg1_epu32(w[wd][l], w[wa][l]);
-
-// Late group: rounds + wb update, no further msg1 needed.
-#define DCERT_X4_GROUP_NOMSG1(group, wa, wb, wd)                           \
-  for (int l = 0; l < 4; ++l) msg[l] = _mm_add_epi32(w[wa][l], LoadK(group)); \
-  for (int l = 0; l < 4; ++l)                                              \
-    S[l].cdgh = _mm_sha256rnds2_epu32(S[l].cdgh, S[l].abef, msg[l]);       \
-  for (int l = 0; l < 4; ++l) tmp[l] = _mm_alignr_epi8(w[wa][l], w[wd][l], 4); \
-  for (int l = 0; l < 4; ++l) w[wb][l] = _mm_add_epi32(w[wb][l], tmp[l]);  \
-  for (int l = 0; l < 4; ++l)                                              \
-    w[wb][l] = _mm_sha256msg2_epu32(w[wb][l], w[wa][l]);                   \
-  for (int l = 0; l < 4; ++l) msg[l] = _mm_shuffle_epi32(msg[l], 0x0E);    \
-  for (int l = 0; l < 4; ++l)                                              \
-    S[l].abef = _mm_sha256rnds2_epu32(S[l].abef, S[l].cdgh, msg[l]);
-
-    DCERT_X4_LOAD(0)
-    DCERT_X4_ROUNDS(0, 0)   // rounds 0-3
-    DCERT_X4_LOAD(1)
-    DCERT_X4_ROUNDS(1, 1)   // rounds 4-7
-    DCERT_X4_MSG1(0, 1)
-    DCERT_X4_LOAD(2)
-    DCERT_X4_ROUNDS(2, 2)   // rounds 8-11
-    DCERT_X4_MSG1(1, 2)
-    DCERT_X4_LOAD(3)
-
-    DCERT_X4_GROUP(3, 3, 0, 2)    // rounds 12-15
-    DCERT_X4_GROUP(4, 0, 1, 3)    // rounds 16-19
-    DCERT_X4_GROUP(5, 1, 2, 0)    // rounds 20-23
-    DCERT_X4_GROUP(6, 2, 3, 1)    // rounds 24-27
-    DCERT_X4_GROUP(7, 3, 0, 2)    // rounds 28-31
-    DCERT_X4_GROUP(8, 0, 1, 3)    // rounds 32-35
-    DCERT_X4_GROUP(9, 1, 2, 0)    // rounds 36-39
-    DCERT_X4_GROUP(10, 2, 3, 1)   // rounds 40-43
-    DCERT_X4_GROUP(11, 3, 0, 2)   // rounds 44-47
-    DCERT_X4_GROUP(12, 0, 1, 3)   // rounds 48-51
-    DCERT_X4_GROUP_NOMSG1(13, 1, 2, 0)  // rounds 52-55
-    DCERT_X4_GROUP_NOMSG1(14, 2, 3, 1)  // rounds 56-59
-    DCERT_X4_ROUNDS(15, 3)              // rounds 60-63
-
-#undef DCERT_X4_LOAD
-#undef DCERT_X4_ROUNDS
-#undef DCERT_X4_MSG1
-#undef DCERT_X4_GROUP
-#undef DCERT_X4_GROUP_NOMSG1
-
-    for (int l = 0; l < 4; ++l) {
-      S[l].abef = _mm_add_epi32(S[l].abef, save_abef[l]);
-      S[l].cdgh = _mm_add_epi32(S[l].cdgh, save_cdgh[l]);
-    }
-  }
-
-  for (int l = 0; l < 4; ++l) S[l].Store(states + 8 * l);
-}
-
 }  // namespace dcert::crypto::internal
 
 #else  // non-x86 fallback
@@ -440,24 +151,6 @@ bool ShaNiSupported() { return false; }
 void CompressShaNi(std::uint32_t state[8], const std::uint8_t* blocks,
                    std::size_t n) {
   CompressScalar(state, blocks, n);
-}
-
-void CompressShaNiX2(std::uint32_t sa[8], const std::uint8_t* const* a_blocks,
-                     std::uint32_t sb[8], const std::uint8_t* const* b_blocks,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    CompressScalar(sa, a_blocks[i], 1);
-    CompressScalar(sb, b_blocks[i], 1);
-  }
-}
-
-void CompressShaNiX4(std::uint32_t* states, const std::uint8_t* const* blocks,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int l = 0; l < 4; ++l) {
-      CompressScalar(states + 8 * l, blocks[i * 4 + l], 1);
-    }
-  }
 }
 
 }  // namespace dcert::crypto::internal

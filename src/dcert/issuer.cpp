@@ -144,6 +144,20 @@ BlockCertificate CertificateIssuer::AssembleCert(
   return cert;
 }
 
+Result<crypto::Signature> CertificateIssuer::TimedEcall(
+    std::uint64_t input_bytes,
+    const std::function<Result<crypto::Signature>()>& trusted_fn) {
+  const sgxsim::CostAccounting before = enclave_.Costs();
+  auto sig = enclave_.Ecall(input_bytes, trusted_fn);
+  const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
+  timing_.enclave_wall_ns += enclave_ns;
+  timing_.enclave_modeled_ns +=
+      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
+  timing_.ecalls += 1;
+  CiMetrics::Get().enclave_ns->Record(enclave_ns);
+  return sig;
+}
+
 Status CertificateIssuer::TimedCommit(const std::function<Status()>& step) {
   Stopwatch commit_watch;
   Status st = step();
@@ -167,6 +181,50 @@ Status CertificateIssuer::CommitBeforeEcall(const chain::Block& blk,
   });
 }
 
+void CertificateIssuer::Publish(const BlockCertificate& cert,
+                                std::size_t covered, bool per_block) {
+  latest_cert_ = cert;
+  if (per_block) {
+    block_certs_.push_back(cert);
+  } else {
+    block_certs_.clear();
+  }
+  CiMetrics::Get().blocks_certified->Add(covered);
+}
+
+Status CertificateIssuer::CertifyIndexes(std::span<IndexSlot> slots,
+                                         const chain::Block& blk,
+                                         const chain::BlockHeader& prev_hdr,
+                                         const BlockCertificate& block_cert) {
+  // Aux-proof capture first, concurrently across the independent index hosts
+  // (index_aux_ns records the region's wall time — the actual
+  // outside-enclave cost), then one lightweight Ecall per index in order
+  // (the enclave stays strictly serial).
+  std::vector<Bytes> auxes(slots.size());
+  Stopwatch aux_watch;
+  common::ThreadPool::Shared().ParallelFor(slots.size(), [&](std::size_t i) {
+    auxes[i] = slots[i].host->ApplyBlockCapturingAux(blk);
+  });
+  const std::uint64_t aux_ns = aux_watch.ElapsedNs();
+  timing_.index_aux_ns += aux_ns;
+  CiMetrics::Get().index_aux_ns->Record(aux_ns);
+
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    IndexSlot& slot = slots[i];
+    Hash256 new_digest;
+    auto sig = TimedEcall(blk.ByteSize() + auxes[i].size(), [&] {
+      return program_.IndexSigGen(prev_hdr, slot.cert, slot.digest, blk,
+                                  block_cert, slot.host->Verifier(), auxes[i],
+                                  new_digest);
+    });
+    if (!sig) return sig.status().WithContext("index ecall for " + slot.host->Id());
+    slot.cert = AssembleCert(IndexCertDigest(blk.header.Hash(), new_digest),
+                             sig.value());
+    slot.digest = new_digest;
+  }
+  return Status::Ok();
+}
+
 Result<BlockCertificate> CertificateIssuer::ProcessBlock(const chain::Block& blk) {
   using R = Result<BlockCertificate>;
   timing_ = CertTiming{};
@@ -175,31 +233,44 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlock(const chain::Block& blk
 
   auto prepared = Prepare(blk);
   if (!prepared) return R(prepared.status());
-
   const chain::BlockHeader prev_hdr = node_.Tip().header;
-  const std::optional<BlockCertificate> prev_cert = latest_cert_;
 
+  // Alg. 1 (Alg. 5 line 1): the block certificate, one Ecall.
   common::CrashPoints::Global().Hit("issuer.process.ecall");
-  const sgxsim::CostAccounting before = enclave_.Costs();
-  auto sig = enclave_.Ecall(prepared.value().input_bytes, [&] {
-    return program_.SigGen(prev_hdr, prev_cert, blk, prepared.value().proof);
+  auto sig = TimedEcall(prepared.value().input_bytes, [&] {
+    return program_.SigGen(prev_hdr, latest_cert_, blk, prepared.value().proof);
   });
-  {
-    const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
   if (!sig) return R(sig.status().WithContext("ecall_sig_gen"));
-
   BlockCertificate cert = AssembleCert(blk.header.Hash(), sig.value());
+
+  // Alg. 5 lines 2-18: every attached index, against the block certificate.
+  if (!indexes_.empty()) {
+    if (Status st = CertifyIndexes(indexes_, blk, prev_hdr, cert); !st) {
+      return R(st);
+    }
+  }
+
   if (Status st = Commit(blk, prepared.value().writes); !st) return R(st);
-  latest_cert_ = cert;
-  block_certs_.push_back(cert);
-  CiMetrics::Get().blocks_certified->Add(1);
+  Publish(cert, 1, /*per_block=*/true);
+  for (const IndexSlot& slot : indexes_) {
+    // Sanity: the live index must land exactly on the certified digest.
+    if (slot.host->CurrentDigest() != slot.digest) {
+      return R::Error("live index diverged from certified digest: " +
+                      slot.host->Id());
+    }
+  }
   return cert;
+}
+
+Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchical(
+    const chain::Block& blk) {
+  using R = Result<std::vector<IndexCertificate>>;
+  if (indexes_.empty()) return R::Error("no indexes attached");
+  if (auto cert = ProcessBlock(blk); !cert) return R(cert.status());
+  std::vector<IndexCertificate> certs;
+  certs.reserve(indexes_.size());
+  for (const IndexSlot& slot : indexes_) certs.push_back(*slot.cert);
+  return certs;
 }
 
 Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
@@ -228,27 +299,15 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
     }
   }
 
-  const sgxsim::CostAccounting before = enclave_.Costs();
-  auto sig = enclave_.Ecall(input_bytes, [&] {
+  auto sig = TimedEcall(input_bytes, [&] {
     return program_.SigGenSpan(prev_hdr, prev_cert, blocks, proofs);
   });
-  {
-    const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
   if (!sig) return R(sig.status().WithContext("ecall_sig_gen_span"));
 
+  // Only the last block carries a certificate, so the span certificate ends
+  // the per-height list and backfill is unavailable afterwards.
   BlockCertificate cert = AssembleCert(blocks.back().header.Hash(), sig.value());
-  latest_cert_ = cert;
-  CiMetrics::Get().blocks_certified->Add(blocks.size());
-  // Intermediate blocks carry no certificate; record the span certificate at
-  // every covered height so backfill can still anchor to it? No — backfill
-  // requires per-block certs, so batched operation disables it (documented).
-  block_certs_.clear();
+  Publish(cert, blocks.size(), /*per_block=*/false);
   return cert;
 }
 
@@ -334,17 +393,11 @@ Result<std::vector<BlockCertificate>> CertificateIssuer::ProcessBlocksPipelined(
         break;
       }
 
-      const std::optional<BlockCertificate> prev_cert = latest_cert_;
       common::CrashPoints::Global().Hit("issuer.pipeline.ecall");
-      const sgxsim::CostAccounting before = enclave_.Costs();
-      auto sig = enclave_.Ecall(slot.prepared.input_bytes, [&] {
-        return program_.SigGen(slot.prev_hdr, prev_cert, blocks[i],
+      auto sig = TimedEcall(slot.prepared.input_bytes, [&] {
+        return program_.SigGen(slot.prev_hdr, latest_cert_, blocks[i],
                                slot.prepared.proof);
       });
-      timing_.enclave_wall_ns += enclave_.Costs().wall_ns() - before.wall_ns();
-      timing_.enclave_modeled_ns +=
-          enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-      timing_.ecalls += 1;
       if (!sig) {
         failure = sig.status().WithContext("pipelined ecall_sig_gen, block " +
                                            std::to_string(i));
@@ -358,10 +411,8 @@ Result<std::vector<BlockCertificate>> CertificateIssuer::ProcessBlocksPipelined(
           break;
         }
       }
-      latest_cert_ = cert;
-      block_certs_.push_back(cert);
+      Publish(cert, 1, /*per_block=*/true);
       certs.push_back(std::move(cert));
-      CiMetrics::Get().blocks_certified->Add(1);
     }
   } catch (...) {
     {
@@ -442,23 +493,16 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockAugmented(
   for (IndexSlot& slot : indexes_) {
     Stopwatch aux_watch;
     Bytes aux = slot.host->ApplyBlockCapturingAux(blk);
-    {
     const std::uint64_t aux_ns = aux_watch.ElapsedNs();
     timing_.index_aux_ns += aux_ns;
     CiMetrics::Get().index_aux_ns->Record(aux_ns);
-  }
 
     Hash256 new_digest;
-    const sgxsim::CostAccounting before = enclave_.Costs();
-    auto sig = enclave_.Ecall(prepared.value().input_bytes + aux.size(), [&] {
+    auto sig = TimedEcall(prepared.value().input_bytes + aux.size(), [&] {
       return program_.AugmentedSigGen(prev_hdr, slot.cert, slot.digest, blk,
                                       prepared.value().proof,
                                       slot.host->Verifier(), aux, new_digest);
     });
-    timing_.enclave_wall_ns += enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_modeled_ns +=
-        enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-    timing_.ecalls += 1;
     if (!sig) {
       return R(sig.status().WithContext("augmented ecall for " + slot.host->Id()));
     }
@@ -479,111 +523,6 @@ Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockAugmented(
   }
   CiMetrics::Get().blocks_certified->Add(1);
   return certs;
-}
-
-Result<std::vector<IndexCertificate>> CertificateIssuer::ProcessBlockHierarchical(
-    const chain::Block& blk) {
-  using R = Result<std::vector<IndexCertificate>>;
-  timing_ = CertTiming{};
-  timing_.blocks = 1;
-  if (Status st = CheckExtendsTip(blk); !st) return R(st);
-  if (indexes_.empty()) return R::Error("no indexes attached");
-
-  auto prepared = Prepare(blk);
-  if (!prepared) return R(prepared.status());
-  const chain::BlockHeader prev_hdr = node_.Tip().header;
-  const std::optional<BlockCertificate> prev_cert = latest_cert_;
-
-  // Alg. 5 line 1: the block certificate, one Ecall.
-  const sgxsim::CostAccounting before_blk = enclave_.Costs();
-  auto blk_sig = enclave_.Ecall(prepared.value().input_bytes, [&] {
-    return program_.SigGen(prev_hdr, prev_cert, blk, prepared.value().proof);
-  });
-  {
-    const std::uint64_t enclave_ns =
-        enclave_.Costs().wall_ns() - before_blk.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before_blk.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
-  if (!blk_sig) return R(blk_sig.status().WithContext("ecall_sig_gen"));
-  BlockCertificate block_cert = AssembleCert(blk.header.Hash(), blk_sig.value());
-
-  // Alg. 5 lines 2-18: aux-proof capture first, concurrently across the
-  // independent index hosts (index_aux_ns records the region's wall time —
-  // the actual outside-enclave cost), then one lightweight Ecall per index
-  // in attachment order (the enclave stays strictly serial).
-  std::vector<Bytes> auxes(indexes_.size());
-  Stopwatch aux_watch;
-  common::ThreadPool::Shared().ParallelFor(indexes_.size(), [&](std::size_t i) {
-    auxes[i] = indexes_[i].host->ApplyBlockCapturingAux(blk);
-  });
-  {
-    const std::uint64_t aux_ns = aux_watch.ElapsedNs();
-    timing_.index_aux_ns += aux_ns;
-    CiMetrics::Get().index_aux_ns->Record(aux_ns);
-  }
-
-  std::vector<IndexCertificate> certs;
-  for (std::size_t i = 0; i < indexes_.size(); ++i) {
-    if (Status st = CertifyIndexStepWithAux(indexes_[i], blk, prev_hdr,
-                                            block_cert, std::move(auxes[i]));
-        !st) {
-      return R(st);
-    }
-    certs.push_back(*indexes_[i].cert);
-  }
-
-  if (Status st = Commit(blk, prepared.value().writes); !st) return R(st);
-  latest_cert_ = block_cert;
-  block_certs_.push_back(block_cert);
-  for (const IndexSlot& slot : indexes_) {
-    if (slot.host->CurrentDigest() != slot.digest) {
-      return R::Error("live index diverged from certified digest: " +
-                      slot.host->Id());
-    }
-  }
-  CiMetrics::Get().blocks_certified->Add(1);
-  return certs;
-}
-
-Status CertificateIssuer::CertifyIndexStep(IndexSlot& slot, const chain::Block& blk,
-                                           const chain::BlockHeader& prev_hdr,
-                                           const BlockCertificate& block_cert) {
-  Stopwatch aux_watch;
-  Bytes aux = slot.host->ApplyBlockCapturingAux(blk);
-  {
-    const std::uint64_t aux_ns = aux_watch.ElapsedNs();
-    timing_.index_aux_ns += aux_ns;
-    CiMetrics::Get().index_aux_ns->Record(aux_ns);
-  }
-  return CertifyIndexStepWithAux(slot, blk, prev_hdr, block_cert, std::move(aux));
-}
-
-Status CertificateIssuer::CertifyIndexStepWithAux(
-    IndexSlot& slot, const chain::Block& blk, const chain::BlockHeader& prev_hdr,
-    const BlockCertificate& block_cert, Bytes aux) {
-  Hash256 new_digest;
-  const sgxsim::CostAccounting before = enclave_.Costs();
-  auto sig = enclave_.Ecall(blk.ByteSize() + aux.size(), [&] {
-    return program_.IndexSigGen(prev_hdr, slot.cert, slot.digest, blk, block_cert,
-                                slot.host->Verifier(), aux, new_digest);
-  });
-  {
-    const std::uint64_t enclave_ns = enclave_.Costs().wall_ns() - before.wall_ns();
-    timing_.enclave_wall_ns += enclave_ns;
-    CiMetrics::Get().enclave_ns->Record(enclave_ns);
-  }
-  timing_.enclave_modeled_ns +=
-      enclave_.Costs().ModeledEnclaveTimeNs() - before.ModeledEnclaveTimeNs();
-  timing_.ecalls += 1;
-  if (!sig) return sig.status().WithContext("index ecall for " + slot.host->Id());
-  slot.cert = AssembleCert(IndexCertDigest(blk.header.Hash(), new_digest),
-                           sig.value());
-  slot.digest = new_digest;
-  return Status::Ok();
 }
 
 Result<IndexCertificate> CertificateIssuer::AttachIndexWithBackfill(
@@ -607,8 +546,9 @@ Result<IndexCertificate> CertificateIssuer::AttachIndexWithBackfill(
   for (std::uint64_t h = 1; h <= height; ++h) {
     const chain::Block& blk = node_.GetBlock(h);
     const chain::BlockHeader& prev_hdr = node_.GetBlock(h - 1).header;
-    if (Status st = CertifyIndexStep(slot, blk, prev_hdr,
-                                     block_certs_[static_cast<std::size_t>(h) - 1]);
+    if (Status st = CertifyIndexes(
+            std::span<IndexSlot>(&slot, 1), blk, prev_hdr,
+            block_certs_[static_cast<std::size_t>(h) - 1]);
         !st) {
       return R(st.WithContext("backfill height " + std::to_string(h)));
     }

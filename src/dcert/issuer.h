@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,8 +123,10 @@ class CertificateIssuer {
   const std::optional<BlockCertificate>& LatestCert() const { return latest_cert_; }
 
   /// gen_cert (Alg. 1): constructs the block certificate for `blk` (which
-  /// must extend this CI's tip) and then appends the block to the local full
-  /// node. Fills LastTiming().
+  /// must extend this CI's tip), then certifies every attached index against
+  /// it (Alg. 5: one index Ecall each), then appends the block to the local
+  /// full node. With no index attached only the block is certified. Fills
+  /// LastTiming().
   Result<BlockCertificate> ProcessBlock(const chain::Block& blk);
 
   /// Batched certification: one Ecall certifies the whole span (which must
@@ -163,10 +166,11 @@ class CertificateIssuer {
   Status AcceptBlockWithCert(const chain::Block& blk,
                              const BlockCertificate& cert);
 
-  /// Registers an authenticated index for certification. All indexes are
-  /// updated/certified by the ProcessBlock*Indexes entry points. Must be
-  /// called while the chain is at genesis; for later attachment use
-  /// AttachIndexWithBackfill.
+  /// Registers an authenticated index for certification. ProcessBlock (and
+  /// so ProcessBlockHierarchical) certifies every attached index per block;
+  /// ProcessBlockAugmented is the Alg. 4 alternative. The batch and pipelined
+  /// paths certify blocks only. Must be called while the chain is at
+  /// genesis; for later attachment use AttachIndexWithBackfill.
   void AttachIndex(std::shared_ptr<CertifiedIndexHost> index);
 
   /// On-demand index activation (the paper's versatility claim): attaches a
@@ -186,9 +190,9 @@ class CertificateIssuer {
   Result<std::vector<IndexCertificate>> ProcessBlockAugmented(
       const chain::Block& blk);
 
-  /// Hierarchical scheme (Alg. 5): one gen_cert Ecall for the block, then
-  /// one lightweight Ecall per index. Returns the index certificates; the
-  /// block certificate is available via LatestCert().
+  /// Hierarchical scheme (Alg. 5): ProcessBlock, returning the index
+  /// certificates (the block certificate is available via LatestCert()).
+  /// Fails when no index is attached.
   Result<std::vector<IndexCertificate>> ProcessBlockHierarchical(
       const chain::Block& blk);
 
@@ -234,21 +238,28 @@ class CertificateIssuer {
   Status CommitBeforeEcall(const chain::Block& blk, const chain::StateMap& writes);
   /// Runs one commit step, timed as commit_ns.
   Status TimedCommit(const std::function<Status()>& step);
+  /// Runs one Ecall and records its cost: wall and modelled enclave time,
+  /// the Ecall count, and the ci.stage.enclave_ns histogram.
+  Result<crypto::Signature> TimedEcall(
+      std::uint64_t input_bytes,
+      const std::function<Result<crypto::Signature>()>& trusted_fn);
+  /// Publish step for a certified block: `cert` becomes LatestCert() and
+  /// ci.blocks_certified grows by the `covered` blocks. A per-block
+  /// certificate extends the per-height list; a span certificate clears it,
+  /// since the span's inner blocks have no certificate to backfill against.
+  void Publish(const BlockCertificate& cert, std::size_t covered, bool per_block);
 
   chain::ChainConfig config_;
   sgxsim::Enclave enclave_;
   CertEnclaveProgram program_;
   sgxsim::AttestationReport report_;
-  /// Runs one index Ecall (Alg. 5 inner loop) for `slot` over `blk`, which
-  /// must carry `block_cert`. Updates the slot and the timing counters.
-  Status CertifyIndexStep(IndexSlot& slot, const chain::Block& blk,
-                          const chain::BlockHeader& prev_hdr,
-                          const BlockCertificate& block_cert);
-  /// Same, with the aux proof already captured (the hierarchical entry point
-  /// captures all indexes' aux material concurrently before the Ecalls).
-  Status CertifyIndexStepWithAux(IndexSlot& slot, const chain::Block& blk,
-                                 const chain::BlockHeader& prev_hdr,
-                                 const BlockCertificate& block_cert, Bytes aux);
+  /// Alg. 5 lines 2-18 for `slots` over `blk`, which must carry
+  /// `block_cert`: applies `blk` to each live index, capturing its aux
+  /// proof, then runs one IndexSigGen Ecall per index. Updates the slots and
+  /// the timing counters.
+  Status CertifyIndexes(std::span<IndexSlot> slots, const chain::Block& blk,
+                        const chain::BlockHeader& prev_hdr,
+                        const BlockCertificate& block_cert);
 
   chain::FullNode node_;
   std::optional<BlockCertificate> latest_cert_;

@@ -1,9 +1,9 @@
 // Request/reply envelope for the SP serving protocol. A request frame is
 // `u8 op || body`; a reply frame is `u8 code || body` where an OK body is
-// op-specific and a busy/error body is a human-readable message. The query
-// bodies reuse the net/actors.h wire shapes where they exist; announcements
-// carry the full block plus the CI's block and index certificates so the
-// server can validate them exactly as a client would before serving them.
+// op-specific and a busy/error body is a human-readable message. Query
+// bodies carry the account and height window; announcements carry the full
+// block plus the CI's block and index certificates so the server can
+// validate them exactly as a client would before serving them.
 #pragma once
 
 #include <cstdint>

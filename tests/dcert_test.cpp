@@ -1,6 +1,7 @@
 // DCert core: end-to-end block certification (Alg. 1-2), superlight client
-// validation (Alg. 3), the forgery paths of Theorem 1, and the rejection of
-// a bad transaction signature on every certify path.
+// validation (Alg. 3), the forgery paths of Theorem 1, the rejection of a
+// bad transaction signature on every certify path, and the certify step
+// every entry point shares (index chaining, Ecall accounting).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include "dcert/enclave_program.h"
 #include "dcert/issuer.h"
 #include "dcert/superlight.h"
+#include "obs/metrics.h"
 #include "query/historical_index.h"
 #include "temp_path.h"
 #include "workloads/workloads.h"
@@ -506,6 +508,75 @@ TEST(BadSignatureTest, CheckpointedIssuerRejectsAndLogsNoCertificate) {
     EXPECT_EQ(issuer.LastCheckpointHeight(), 2u);
   }
   std::filesystem::remove_all(dir);
+}
+
+// --- One certify step: every entry point shares ProcessBlock's Alg. 5 and
+// its Ecall accounting ------------------------------------------------------
+
+TEST(IssuerPathTest, ProcessBlockThenHierarchicalKeepsTheIndexChain) {
+  // ProcessBlock certifies attached indexes too, so a later hierarchical
+  // block chains its index certificate onto b1's instead of genesis.
+  TestRig rig;
+  auto hist = std::make_shared<query::HistoricalIndex>("historical");
+  rig.ci->AttachIndex(hist);
+  ASSERT_TRUE(rig.ci->ProcessBlock(rig.NextBlock()).ok());
+  const chain::Block b2 = rig.NextBlock();
+  auto certs = rig.ci->ProcessBlockHierarchical(b2);
+  ASSERT_TRUE(certs.ok()) << certs.message();
+  ASSERT_EQ(certs.value().size(), 1u);
+
+  SuperlightClient client(ExpectedEnclaveMeasurement());
+  ASSERT_TRUE(client.ValidateAndAccept(b2.header, *rig.ci->LatestCert()).ok());
+  Status st = client.AcceptIndexCert(b2.header, certs.value()[0],
+                                     hist->CurrentDigest(), "historical");
+  EXPECT_TRUE(st.ok()) << st.message();
+}
+
+std::uint64_t EnclaveSamples() {
+  return obs::MetricsRegistry::Global()
+      .GetHistogram("ci.stage.enclave_ns")
+      ->Snapshot()
+      .count;
+}
+
+/// Runs one issuer entry point and checks that the enclave histogram grew by
+/// exactly the Ecalls the call reports.
+template <typename Fn>
+void ExpectEnclaveSamplePerEcall(const char* path, const CertificateIssuer& ci,
+                                 Fn&& run) {
+  const std::uint64_t before = EnclaveSamples();
+  ASSERT_TRUE(run()) << path;
+  const std::uint64_t ecalls = ci.LastTiming().ecalls;
+  EXPECT_GT(ecalls, 0u) << path;
+  EXPECT_EQ(EnclaveSamples() - before, ecalls) << path;
+}
+
+TEST(IssuerPathTest, EnclaveHistogramRecordsEveryEcallOnEveryPath) {
+  TestRig rig;
+  CertificateIssuer& ci = *rig.ci;
+  ExpectEnclaveSamplePerEcall("ProcessBlock", ci, [&] {
+    return ci.ProcessBlock(rig.NextBlock()).ok();
+  });
+  ExpectEnclaveSamplePerEcall("ProcessBlocksPipelined", ci, [&] {
+    return ci.ProcessBlocksPipelined({rig.NextBlock(), rig.NextBlock()}).ok();
+  });
+  ExpectEnclaveSamplePerEcall("AttachIndexWithBackfill", ci, [&] {
+    return ci.AttachIndexWithBackfill(
+                 std::make_shared<query::HistoricalIndex>("historical"))
+        .ok();
+  });
+  ExpectEnclaveSamplePerEcall("ProcessBlockHierarchical", ci, [&] {
+    return ci.ProcessBlockHierarchical(rig.NextBlock()).ok();
+  });
+  ExpectEnclaveSamplePerEcall("ProcessBlockBatch", ci, [&] {
+    return ci.ProcessBlockBatch({rig.NextBlock(), rig.NextBlock()}).ok();
+  });
+
+  TestRig augmented;
+  augmented.ci->AttachIndex(std::make_shared<query::HistoricalIndex>());
+  ExpectEnclaveSamplePerEcall("ProcessBlockAugmented", *augmented.ci, [&] {
+    return augmented.ci->ProcessBlockAugmented(augmented.NextBlock()).ok();
+  });
 }
 
 }  // namespace

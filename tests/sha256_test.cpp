@@ -125,7 +125,7 @@ TEST(HmacSha256Test, DifferentKeysDiffer) {
 
 // Dispatch: on SHA-NI hardware the resolved compress function must be the
 // hardware path (otherwise every digest silently takes the scalar road) —
-// unless a runtime override (DCERT_FORCE_SCALAR_HASH / _SHA_BACKEND) forces
+// unless the runtime override (DCERT_FORCE_SHA_BACKEND) forces
 // the fallback, which is exactly how the CI forced-scalar leg runs this
 // whole suite.
 TEST(Sha256DispatchTest, ResolvesHardwarePathWhenSupported) {
@@ -135,7 +135,6 @@ TEST(Sha256DispatchTest, ResolvesHardwarePathWhenSupported) {
     EXPECT_EQ(internal::GetCompressFn(), &internal::CompressScalar);
   }
   if (internal::ShaNiSupported() &&
-      std::getenv("DCERT_FORCE_SCALAR_HASH") == nullptr &&
       std::getenv("DCERT_FORCE_SHA_BACKEND") == nullptr) {
     EXPECT_EQ(ActiveStreamBackend(), ShaBackend::kShaNi);
   }

@@ -3,7 +3,8 @@
 // certified blocks, admission-control shedding, graceful drain, client-side
 // rejection of tampered replies, and the robustness layer: per-call
 // deadlines, connection-churn lifecycle, connection caps, and a seeded
-// fault-injection soak driving the retrying client.
+// fault-injection soak driving the retrying client. The WorkflowTest suite
+// runs the paper's Fig. 2 workflow end to end over the loopback transport.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -1056,6 +1058,158 @@ TEST(SvcTcpTest, RestartUnderLoadReconnectsWithZeroCorruptAccepted) {
   EXPECT_GT(reconnects.load(), 0u);
   EXPECT_GT(server->Stats().served, 0u);
   server->Shutdown();
+}
+
+// --- The Fig. 2 workflow over the svc loopback transport -----------------
+// Miner -> full node + CI (hierarchical) -> SpServer announcements -> SpClient
+// queries -> superlight verification, every hop crossing the wire encoded.
+
+/// Follows an SP's certified tip the way a superlight client does: fetch the
+/// tip, validate the block certificate and the index certificate, and sort
+/// the outcome into accepted / stale (no newer than what the client holds) /
+/// invalid.
+struct TipFollower {
+  core::SuperlightClient light{core::ExpectedEnclaveMeasurement()};
+  std::uint64_t accepted = 0;
+  std::uint64_t stale = 0;
+  std::uint64_t invalid = 0;
+
+  void Poll(SpClient& client) {
+    auto tip = client.FetchTip();
+    if (!tip.ok()) return;  // nothing certified yet
+    const TipInfo& t = tip.value();
+    if (light.HasState() && t.header.height <= light.Height()) {
+      ++stale;
+    } else if (light.ValidateAndAccept(t.header, t.block_cert).ok() &&
+               light.AcceptIndexCert(t.header, t.index_cert, t.index_digest,
+                                     "historical")
+                   .ok()) {
+      ++accepted;
+    } else {
+      ++invalid;
+    }
+  }
+};
+
+TEST(WorkflowTest, EndToEndOverLossyOrderingNetwork) {
+  constexpr int kBlocks = 12;
+  const CertifiedChain chain(kBlocks);
+
+  // A plain full node validates every block the CI certified.
+  chain::ChainConfig config;
+  config.difficulty_bits = 2;
+  chain::FullNode full_node(config, workloads::MakeBlockbenchRegistry(1));
+  for (const AnnounceRequest& ann : chain.announcements) {
+    EXPECT_TRUE(full_node.SubmitBlock(ann.block).ok());
+  }
+
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+
+  // The announcer's link drops requests (retried with backoff) and its
+  // announcements arrive in a seeded shuffled order.
+  FaultConfig faults;
+  faults.drop_rate = 0.3;
+  faults.seed = 7;
+  auto counters = std::make_shared<FaultCounters>();
+  RetryPolicy policy;
+  policy.max_attempts = 30;
+  policy.initial_backoff = std::chrono::milliseconds(1);
+  policy.max_backoff = std::chrono::milliseconds(4);
+  SpClient announcer(
+      FaultyConnector(
+          [&loopback] {
+            return Result<std::unique_ptr<ClientTransport>>(loopback.Connect());
+          },
+          faults, counters),
+      policy);
+  std::vector<std::size_t> order(chain.announcements.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(2022);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBelow(i + 1)]);
+  }
+  ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+
+  SpClient follower_conn(loopback.Connect());
+  TipFollower follower;
+  for (std::size_t i : order) {
+    auto acked = announcer.Announce(chain.announcements[i]);
+    ASSERT_TRUE(acked.ok()) << acked.message();
+    follower.Poll(follower_conn);
+  }
+
+  EXPECT_GT(counters->drops.load(), 0u);
+  EXPECT_GT(announcer.Stats().retries, 0u);
+  EXPECT_EQ(full_node.Height(), chain.tip_height);
+  const SpServerStats stats = server.Stats();
+  EXPECT_EQ(stats.blocks_applied, static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(stats.announce_rejected, 0u);
+  // The client followed the chain purely from certificates, up to the tip;
+  // anything it declined was stale, never invalid.
+  EXPECT_EQ(follower.light.Height(), chain.tip_height);
+  EXPECT_EQ(follower.invalid, 0u);
+  // Reordering means the tip can jump heights, so the client accepts at most
+  // one certificate per height it ends up at.
+  EXPECT_GE(follower.accepted, 1u);
+  EXPECT_LE(follower.accepted, follower.light.Height());
+  // Certificates verified the IAS report only once.
+  EXPECT_EQ(follower.light.ReportVerifications(), 1u);
+  server.Shutdown();
+}
+
+TEST(WorkflowTest, QueryProtocolOverTheWire) {
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  SpClient client(loopback.Connect());
+
+  // Query mid-stream and at the tip: each reply's proof crossed the wire
+  // serialized and verifies against the digest certified at that moment.
+  const std::size_t half = chain.announcements.size() / 2;
+  for (std::size_t i = 0; i < chain.announcements.size(); ++i) {
+    auto acked = client.Announce(chain.announcements[i]);
+    ASSERT_TRUE(acked.ok()) << acked.message();
+    if (i + 1 != half && i + 1 != chain.announcements.size()) continue;
+    const std::uint64_t tip = chain.announcements[i].block.header.height;
+    const Hash256 digest = TrustedDigest(client);
+    auto reply = client.Historical(chain.hot_account, 1, tip);
+    ASSERT_TRUE(reply.ok()) << reply.message();
+    EXPECT_EQ(reply.value().tip_height, tip);
+    auto verified = query::HistoricalIndex::VerifyQuery(
+        digest, chain.hot_account, 1, tip, reply.value().proof);
+    EXPECT_TRUE(verified.ok()) << verified.message();
+  }
+  EXPECT_GE(server.Stats().served, 4u);
+  server.Shutdown();
+}
+
+TEST(WorkflowTest, ClientIgnoresUncertifiedBlocks) {
+  // Raw blocks without certificates never move the SP's tip, so a client
+  // following it never advances — only certificates move a superlight
+  // client.
+  const CertifiedChain& chain = Chain();
+  SpServer server(SpServerConfig{});
+  LoopbackTransport loopback;
+  ASSERT_TRUE(server.Serve(loopback).ok());
+  SpClient client(loopback.Connect());
+  TipFollower follower;
+  for (const AnnounceRequest& ann : chain.announcements) {
+    AnnounceRequest raw;
+    raw.block = ann.block;
+    EXPECT_FALSE(client.Announce(raw).ok());
+    follower.Poll(client);
+  }
+  const SpServerStats stats = server.Stats();
+  EXPECT_EQ(stats.blocks_applied, 0u);
+  EXPECT_EQ(stats.tip_height, 0u);
+  EXPECT_FALSE(client.FetchTip().ok());
+  EXPECT_EQ(follower.accepted, 0u);
+  EXPECT_EQ(follower.light.Height(), 0u);
+  EXPECT_FALSE(follower.light.HasState());
+  server.Shutdown();
 }
 
 }  // namespace

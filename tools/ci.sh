@@ -5,7 +5,7 @@
 # subsystem, and the obs metrics hammering, then an AddressSanitizer build
 # (DCERT_SANITIZE=address) running the server/transport/obs tests (socket
 # and buffer handling), then two legs for the SIMD hashing dispatch: the
-# TSan suite re-run under DCERT_FORCE_SCALAR_HASH=1 (the scalar fallback
+# TSan suite re-run under DCERT_FORCE_SHA_BACKEND=scalar (the scalar fallback
 # must be just as race-free as the hardware paths — and this is the only
 # way the fallback gets sanitizer coverage on SHA-NI machines), and a
 # UBSanitizer build (DCERT_SANITIZE=undefined) running the crypto/tree
@@ -112,7 +112,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|BadSignature'
+  -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Workflow|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|BadSignature|IssuerPath'
   # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest; the obs suites cover
   # the concurrent counter/histogram/trace hammering. Fleet|ShardMap|
   # ShardServing run the router fan-out, scatter-gather fan-out threads, and
@@ -125,13 +125,13 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
 echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target \
-  svc_test net_test thread_pool_test fleet_test obs_test record_log_test \
+  svc_test thread_pool_test fleet_test obs_test record_log_test \
   crash_recovery_test ckpt_test chaos_test dcert_test secp256k1_test \
   secp256k1_reference_test signature_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
-  -R 'Svc|SimNet|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|Signature|VerifyBatch|Secp256k1'
+  -R 'Svc|Workflow|ThreadPool|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|Export|Overhead|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|Signature|VerifyBatch|Secp256k1|IssuerPath'
   # The checkpoint legs under ASan pin the mmap'd sealed-segment reads and
   # the serialize/deserialize buffer handling in the .dcp codec; the soak's
   # torn-seal site leaves half-written tmp files for Open() to clean up.
@@ -143,7 +143,7 @@ echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # threaded SMT/pipeline tests then certify that the batch-hash sharding and
 # the thread_local scratch in the fallback are race-free; the Sha256 suite
 # (incl. the dispatch tests) runs to pin the resolved backends.
-DCERT_FORCE_SCALAR_HASH=1 DCERT_CRASH_SOAK_CYCLES=50 \
+DCERT_FORCE_SHA_BACKEND=scalar DCERT_CRASH_SOAK_CYCLES=50 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
   -R 'ThreadPool|ParallelEquivalence|Smt|Sha256|Svc'
@@ -157,7 +157,7 @@ ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
   -R 'Sha256|HmacSha256|Signature|VerifyBatch|Secp256k1|Secp256k1Reference|U256|Curve|Smt|Merkle|Mb|Arena|Dcert'
   # Sha256BatchTest exercises every supported multi-buffer backend (AVX2
-  # lane loads, SHA-NI interleaves); VerifyBatchTest covers the combined
+  # lane loads, the SHA-NI and scalar per-job loops); VerifyBatchTest covers the combined
   # verification equation; Secp256k1ReferenceTest drives the GLV split and
   # wNAF recoding through edge scalars; ArenaTest covers the placement-new
   # pool.
