@@ -12,21 +12,8 @@
 // measures service capacity, not the generator: with the cache off every
 // query regenerates its proof; with it on, repeated queries are served from
 // the sharded LRU until a new certified block invalidates it.
-//
-// --fleet KxR adds the scale-out topology: K shard × R replica SpServer
-// PROCESSES (re-exec'd children over TCP, each holding the full index but
-// serving one key-shard), driven by shard-routed clients, against a 1x1
-// single-process baseline under the same offered load — reporting fleet
-// aggregate throughput, tail latency, and the scale factor. A verified
-// scatter-gather pass (FleetClient) checks the fleet still only serves
-// replies that survive client-side certificate + proof verification.
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
-#include <optional>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -67,28 +54,7 @@ struct Options {
   // rescue plus the hedge-rate / wasted-work cost.
   bool hedge_ab = false;
   std::string json_path;
-  // --fleet KxR: multi-process sharded fleet section (see header comment).
-  std::string fleet;
 };
-
-struct FleetSpec {
-  std::uint32_t shards = 1;
-  std::uint32_t replicas = 1;
-};
-
-std::optional<FleetSpec> ParseFleetSpec(const std::string& s) {
-  const std::size_t x = s.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= s.size()) {
-    return std::nullopt;
-  }
-  char* end = nullptr;
-  const unsigned long k = std::strtoul(s.c_str(), &end, 10);
-  if (end != s.c_str() + x) return std::nullopt;
-  const unsigned long r = std::strtoul(s.c_str() + x + 1, &end, 10);
-  if (*end != '\0') return std::nullopt;
-  if (k < 1 || k > 16 || r < 1 || r > 4) return std::nullopt;
-  return FleetSpec{static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(r)};
-}
 
 /// One knob fans out over the individual fault kinds so a soak exercises all
 /// of them; recorded verbatim in the JSON meta for reproducibility.
@@ -412,411 +378,6 @@ void VerifyServedReplies(const Options& opt, const ServingFixture& fixture) {
 }
 
 // ---------------------------------------------------------------------------
-// --fleet: multi-process sharded fleet vs. a 1x1 baseline.
-// ---------------------------------------------------------------------------
-
-/// Child mode (`--shard-server`): build the deterministic fixture (same seed
-/// and chain parameters as the parent, so every process mines a byte-identical
-/// chain), serve one shard of a K-shard map over TCP, print "PORT <n>" once
-/// ready, and run until stdin reaches EOF (the parent closing our stdin is the
-/// shutdown signal — it also works if the parent dies).
-int RunShardServer(const Options& opt, std::uint32_t shard_id,
-                   std::uint32_t shard_total, std::uint64_t map_version) {
-  fleet::ShardMapConfig mc;
-  mc.version = map_version;
-  mc.key_shards = shard_total;
-  auto map = fleet::ShardMap::Create(mc);
-  if (!map.ok()) {
-    std::fprintf(stderr, "shard-server: map: %s\n", map.message().c_str());
-    return 1;
-  }
-  ServingFixture fixture(opt);
-
-  svc::SpServerConfig config;
-  config.workers = 4;
-  config.max_queue = std::max<std::size_t>(1, opt.clients / 2);
-  config.shard = map.value().AssignmentFor(shard_id);
-  config.shard_map = map.value().Serialize();
-  svc::SpServer server(config);
-  svc::TcpServerTransport tcp(0);
-  if (Status st = server.Serve(tcp); !st) {
-    std::fprintf(stderr, "shard-server: serve: %s\n", st.message().c_str());
-    return 1;
-  }
-  for (const auto& ann : fixture.announcements) {
-    if (Status st = server.Announce(ann); !st) {
-      std::fprintf(stderr, "shard-server: announce: %s\n",
-                   st.message().c_str());
-      return 1;
-    }
-  }
-  std::printf("PORT %u\n", static_cast<unsigned>(tcp.Port()));
-  std::fflush(stdout);
-  char buf[64];
-  while (std::fgets(buf, sizeof buf, stdin) != nullptr) {
-  }
-  server.Shutdown();
-  return 0;
-}
-
-/// One spawned shard-server child: its pid, a write end of its stdin (closing
-/// it asks the child to exit), and the TCP port it reported.
-struct ShardProc {
-  pid_t pid = -1;
-  int stdin_w = -1;
-  std::FILE* out = nullptr;
-  std::uint16_t port = 0;
-};
-
-void StopShard(ShardProc& p) {
-  if (p.stdin_w >= 0) {
-    close(p.stdin_w);  // EOF on the child's stdin => graceful shutdown
-    p.stdin_w = -1;
-  }
-  if (p.out != nullptr) {
-    std::fclose(p.out);
-    p.out = nullptr;
-  }
-  if (p.pid > 0) {
-    int status = 0;
-    waitpid(p.pid, &status, 0);
-    p.pid = -1;
-  }
-}
-
-/// fork+exec ourselves (`/proc/self/exe`) in shard-server mode. All load
-/// threads are joined whenever this runs, so fork is safe; the child execs
-/// immediately.
-ShardProc SpawnShardServer(const Options& opt, std::uint32_t shard_id,
-                           std::uint32_t shard_total,
-                           std::uint64_t map_version) {
-  int to_child[2], from_child[2];
-  if (pipe(to_child) != 0 || pipe(from_child) != 0) {
-    throw std::runtime_error("pipe failed");
-  }
-  // Close-on-exec everywhere: without this, later-spawned siblings inherit
-  // this child's stdin write end, so closing ours never delivers the EOF
-  // shutdown signal (the child would outlive StopShard and waitpid would
-  // hang). The child's dup2 onto fds 0/1 clears the flag on its own copies.
-  for (const int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
-    fcntl(fd, F_SETFD, FD_CLOEXEC);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) throw std::runtime_error("fork failed");
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    char exe[4096];
-    const ssize_t n = readlink("/proc/self/exe", exe, sizeof exe - 1);
-    exe[n > 0 ? n : 0] = '\0';
-    const std::vector<std::string> args = {
-        exe,
-        "--shard-server",
-        "--shard-id",    std::to_string(shard_id),
-        "--shard-total", std::to_string(shard_total),
-        "--map-version", std::to_string(map_version),
-        "--clients",     std::to_string(opt.clients),
-        "--blocks",      std::to_string(opt.blocks),
-        "--txs",         std::to_string(opt.txs),
-        "--seed",        std::to_string(opt.seed),
-    };
-    std::vector<char*> argv;
-    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    execv(exe, argv.data());
-    _exit(127);
-  }
-  close(to_child[0]);
-  close(from_child[1]);
-  ShardProc p;
-  p.pid = pid;
-  p.stdin_w = to_child[1];
-  p.out = fdopen(from_child[0], "r");
-  if (p.out == nullptr) {
-    StopShard(p);
-    throw std::runtime_error("fdopen failed");
-  }
-  return p;
-}
-
-/// Blocks until the child reports its port (it mines the fixture chain
-/// first); EOF without a PORT line means the child failed at startup.
-void AwaitPort(ShardProc& p, std::uint32_t shard_id, std::uint32_t replica) {
-  char line[256];
-  while (std::fgets(line, sizeof line, p.out) != nullptr) {
-    unsigned port = 0;
-    if (std::sscanf(line, "PORT %u", &port) == 1 && port != 0) {
-      p.port = static_cast<std::uint16_t>(port);
-      return;
-    }
-  }
-  throw std::runtime_error("shard " + std::to_string(shard_id) + " replica " +
-                           std::to_string(replica) +
-                           " exited before reporting a port");
-}
-
-/// Same scheduled open-loop load as RunLoad, but each request is routed to
-/// the shard owning its account (map.KeyShardOf) over a persistent per-thread
-/// connection to one replica (round-robin per shard per request). Framing is
-/// identical for baseline and fleet runs: both use shard-scoped requests.
-RunResult FleetRunLoad(const Options& opt, const ServingFixture& fixture,
-                       const fleet::ShardMap& map,
-                       const std::vector<std::vector<std::uint16_t>>& ports) {
-  const std::uint64_t version = map.Version();
-  const std::uint32_t replicas = map.Replicas();
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now() + std::chrono::milliseconds(10);
-  const double interval_s = 1.0 / opt.rps;
-  std::vector<std::vector<double>> ok_latencies(opt.clients);
-  std::vector<std::uint64_t> oks(opt.clients, 0), busys(opt.clients, 0),
-      fails(opt.clients, 0);
-  std::atomic<Clock::duration::rep> last_done{0};
-
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < opt.clients; ++c) {
-    threads.emplace_back([&, c] {
-      // Lazily dialed persistent connection per (shard, replica).
-      std::vector<std::vector<std::unique_ptr<svc::SpClient>>> conns(
-          ports.size());
-      for (auto& per_shard : conns) per_shard.resize(replicas);
-      Rng rng(0x5eed + c);
-      std::uint64_t seq = c;
-      for (std::size_t i = c; i < opt.requests; i += opt.clients) {
-        const auto scheduled =
-            t0 + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(interval_s *
-                                                   static_cast<double>(i)));
-        std::this_thread::sleep_until(scheduled);
-        const svc::QueryRequest& q = fixture.query_pool[rng.NextRange(
-            0, fixture.query_pool.size() - 1)];
-        const std::uint32_t shard = map.ShardOf(q.account, q.from_height);
-        const std::uint32_t replica =
-            static_cast<std::uint32_t>(seq++ % replicas);
-        auto& cli = conns[shard][replica];
-        if (!cli) {
-          const std::uint16_t port = ports[shard][replica];
-          cli = std::make_unique<svc::SpClient>(
-              [port] {
-                return svc::TcpClientTransport::Connect("127.0.0.1", port);
-              },
-              svc::RetryPolicy{});
-        }
-        auto result =
-            q.op == svc::Op::kHistorical
-                ? cli->HistoricalSharded(version, shard, q.account,
-                                         q.from_height, q.to_height)
-                : cli->AggregateSharded(version, shard, q.account,
-                                        q.from_height, q.to_height);
-        const auto done = Clock::now();
-        if (result.ok()) {
-          ++oks[c];
-          ok_latencies[c].push_back(
-              std::chrono::duration<double, std::milli>(done - scheduled)
-                  .count());
-        } else if (cli->LastReplyBusy()) {
-          ++busys[c];
-        } else {
-          ++fails[c];
-          cli.reset();  // drop the connection; redial on next use
-        }
-        auto rep = (done - t0).count();
-        auto prev = last_done.load();
-        while (rep > prev && !last_done.compare_exchange_weak(prev, rep)) {
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  RunResult r;
-  std::vector<double> latencies;
-  for (std::size_t c = 0; c < opt.clients; ++c) {
-    r.ok += oks[c];
-    r.busy += busys[c];
-    r.failed += fails[c];
-    latencies.insert(latencies.end(), ok_latencies[c].begin(),
-                     ok_latencies[c].end());
-  }
-  r.wall_s =
-      std::chrono::duration<double>(Clock::duration(last_done.load())).count();
-  if (r.wall_s <= 0.0) r.wall_s = 1e-9;
-  r.throughput = static_cast<double>(r.ok) / r.wall_s;
-  r.p50_ms = Percentile(latencies, 0.50);
-  r.p95_ms = Percentile(latencies, 0.95);
-  r.p99_ms = Percentile(latencies, 0.99);
-  r.shed_rate = static_cast<double>(r.busy) /
-                static_cast<double>(opt.requests == 0 ? 1 : opt.requests);
-  return r;
-}
-
-/// Fills the server-side fields of a fleet RunResult from the children's live
-/// registries (Op::kStats per process, merged: counters sum, gauges max).
-void FillFleetServerStats(RunResult& r,
-                          const std::vector<std::vector<std::uint16_t>>& ports) {
-  obs::MetricsSnapshot merged;
-  for (const auto& per_shard : ports) {
-    for (const std::uint16_t port : per_shard) {
-      svc::SpClient cli(
-          [port] {
-            return svc::TcpClientTransport::Connect("127.0.0.1", port);
-          },
-          svc::RetryPolicy{});
-      auto snap = cli.FetchStats();
-      if (!snap.ok()) {
-        throw std::runtime_error("fleet stats fetch: " + snap.message());
-      }
-      merged.MergeFrom(snap.value());
-    }
-  }
-  const auto counter = [&merged](const char* name) -> std::uint64_t {
-    auto it = merged.counters.find(name);
-    return it == merged.counters.end() ? 0 : it->second;
-  };
-  r.server.served = counter("svc.server.served");
-  r.server.shed = counter("svc.server.shed");
-  r.server.errors = counter("svc.server.errors");
-  r.server.cache.hits = counter("svc.cache.hits");
-  r.server.cache.misses = counter("svc.cache.misses");
-}
-
-/// Verified scatter-gather spot check against the live fleet: a FleetClient
-/// (cross-checking replicas when there are >=2) must verify every query in
-/// the fixture pool; any reply that fails certificate/proof verification
-/// fails the bench.
-void VerifyFleetReplies(const ServingFixture& fixture,
-                        const fleet::ShardMap& map,
-                        const std::vector<std::vector<std::uint16_t>>& ports) {
-  fleet::FleetClientConfig fc;
-  fc.cross_check = map.Replicas() >= 2;
-  fleet::FleetClient client(
-      map,
-      [&ports](std::uint32_t shard, std::uint32_t replica) -> svc::Connector {
-        const std::uint16_t port = ports[shard][replica];
-        return [port] {
-          return svc::TcpClientTransport::Connect("127.0.0.1", port);
-        };
-      },
-      fc);
-  for (const svc::QueryRequest& q : fixture.query_pool) {
-    if (q.op == svc::Op::kHistorical) {
-      auto got = client.Historical(q.account, q.from_height, q.to_height);
-      if (!got.ok()) {
-        throw std::runtime_error("fleet scatter-gather verify: " +
-                                 got.message());
-      }
-    } else {
-      auto got = client.Aggregate(q.account, q.from_height, q.to_height);
-      if (!got.ok()) {
-        throw std::runtime_error("fleet scatter-gather verify: " +
-                                 got.message());
-      }
-    }
-  }
-  const auto stats = client.Stats();
-  if (stats.verified == 0 || stats.giveups != 0) {
-    throw std::runtime_error("fleet scatter-gather verify: no verified replies");
-  }
-  std::printf("fleet scatter-gather: %llu/%llu subqueries verified "
-              "client-side (%llu cross-checks, %llu mismatches)\n",
-              static_cast<unsigned long long>(stats.verified),
-              static_cast<unsigned long long>(stats.subqueries),
-              static_cast<unsigned long long>(stats.cross_checks),
-              static_cast<unsigned long long>(stats.cross_check_mismatches));
-}
-
-/// Runs the baseline (1x1) and the K x R fleet under the same offered load
-/// and returns the JSON section. Both topologies use shard-scoped framing and
-/// re-exec'd TCP server processes, so the only variable is the topology.
-std::string RunFleetSection(const Options& opt, const ServingFixture& fixture,
-                            const FleetSpec& spec) {
-  const std::uint32_t K = spec.shards;
-  const std::uint32_t R = spec.replicas;
-  std::printf("\nfleet: spawning 1x1 baseline + %ux%u shard server "
-              "processes (each mines the fixture chain first)...\n",
-              static_cast<unsigned>(K), static_cast<unsigned>(R));
-
-  // Baseline: one server process owning the whole key space (map version 1,
-  // total 1 — still sharded framing, so requests are byte-identical).
-  fleet::ShardMapConfig base_cfg;
-  base_cfg.version = 1;
-  auto base_map = fleet::ShardMap::Create(base_cfg);
-  if (!base_map.ok()) throw std::runtime_error(base_map.message());
-  ShardProc base_proc = SpawnShardServer(opt, 0, 1, base_cfg.version);
-  RunResult baseline;
-  try {
-    AwaitPort(base_proc, 0, 0);
-    const std::vector<std::vector<std::uint16_t>> base_ports = {
-        {base_proc.port}};
-    baseline = FleetRunLoad(opt, fixture, base_map.value(), base_ports);
-    FillFleetServerStats(baseline, base_ports);
-  } catch (...) {
-    StopShard(base_proc);
-    throw;
-  }
-  StopShard(base_proc);
-
-  // Fleet: K shards x R replicas. Spawned sequentially — each child mines
-  // the same deterministic chain, and on a small host parallel mining just
-  // thrashes; ports are collected as children come up.
-  fleet::ShardMapConfig fleet_cfg;
-  fleet_cfg.version = 2;  // a different version than the baseline map
-  fleet_cfg.key_shards = K;
-  fleet_cfg.replicas = R;
-  auto fleet_map = fleet::ShardMap::Create(fleet_cfg);
-  if (!fleet_map.ok()) throw std::runtime_error(fleet_map.message());
-  std::vector<ShardProc> procs;
-  RunResult fleet_run;
-  try {
-    std::vector<std::vector<std::uint16_t>> ports(K);
-    for (std::uint32_t s = 0; s < K; ++s) {
-      for (std::uint32_t rep = 0; rep < R; ++rep) {
-        procs.push_back(SpawnShardServer(opt, s, K, fleet_cfg.version));
-        AwaitPort(procs.back(), s, rep);
-        ports[s].push_back(procs.back().port);
-      }
-    }
-    fleet_run = FleetRunLoad(opt, fixture, fleet_map.value(), ports);
-    VerifyFleetReplies(fixture, fleet_map.value(), ports);
-    FillFleetServerStats(fleet_run, ports);
-  } catch (...) {
-    for (auto& p : procs) StopShard(p);
-    throw;
-  }
-  for (auto& p : procs) StopShard(p);
-
-  const double scale = baseline.throughput > 0
-                           ? fleet_run.throughput / baseline.throughput
-                           : 0.0;
-  std::printf("\n%9s | %9s %8s %8s %8s | %7s\n", "fleet", "tput r/s", "p50 ms",
-              "p95 ms", "p99 ms", "shed");
-  std::printf("----------+------------------------------------------+--------\n");
-  std::printf("%9s | %9.0f %8.2f %8.2f %8.2f | %6.1f%%\n", "1x1 base",
-              baseline.throughput, baseline.p50_ms, baseline.p95_ms,
-              baseline.p99_ms, 100.0 * baseline.shed_rate);
-  std::printf("%7ux%1u | %9.0f %8.2f %8.2f %8.2f | %6.1f%%\n",
-              static_cast<unsigned>(K), static_cast<unsigned>(R),
-              fleet_run.throughput, fleet_run.p50_ms, fleet_run.p95_ms,
-              fleet_run.p99_ms, 100.0 * fleet_run.shed_rate);
-  std::printf("fleet scale factor: %.2fx over the single-process baseline "
-              "(%u host cores — CPU-bound shards cannot scale past the "
-              "core count)\n",
-              scale, std::thread::hardware_concurrency());
-
-  JsonObject fo;
-  fo.Put("shards", static_cast<std::uint64_t>(K))
-      .Put("replicas", static_cast<std::uint64_t>(R))
-      .Put("processes", static_cast<std::uint64_t>(K * R))
-      .PutRaw("baseline_1x1", baseline.Json())
-      .PutRaw("fleet", fleet_run.Json())
-      .Put("scale_factor", scale);
-  return fo.Str();
-}
-
-// ---------------------------------------------------------------------------
 // --hedge-ab: hedged requests vs. a straggling replica.
 // ---------------------------------------------------------------------------
 
@@ -994,34 +555,7 @@ int main(int argc, char** argv) {
   opt.seed = ParseU64Flag(argc, argv, "seed", opt.seed);
   opt.obs_ab = HasFlag(argc, argv, "obs-ab");
   opt.hedge_ab = HasFlag(argc, argv, "hedge-ab");
-  opt.fleet = ParseStrFlag(argc, argv, "fleet", opt.fleet);
 
-  // Hidden child mode: we were re-exec'd by a --fleet parent to serve one
-  // shard. Options above are already parsed from the forwarded flags.
-  if (HasFlag(argc, argv, "shard-server")) {
-    try {
-      return RunShardServer(
-          opt,
-          static_cast<std::uint32_t>(ParseU64Flag(argc, argv, "shard-id", 0)),
-          static_cast<std::uint32_t>(
-              ParseU64Flag(argc, argv, "shard-total", 1)),
-          ParseU64Flag(argc, argv, "map-version", 1));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "shard-server: %s\n", e.what());
-      return 1;
-    }
-  }
-
-  std::optional<FleetSpec> fleet_spec;
-  if (!opt.fleet.empty()) {
-    fleet_spec = ParseFleetSpec(opt.fleet);
-    if (!fleet_spec) {
-      std::fprintf(stderr,
-                   "bad --fleet %s (want KxR, 1<=K<=16, 1<=R<=4)\n",
-                   opt.fleet.c_str());
-      return 2;
-    }
-  }
   if (opt.clients == 0 || opt.requests == 0 || opt.rps <= 0.0 ||
       opt.fault_rate < 0.0 || opt.fault_rate >= 1.0 ||
       (opt.transport != "loopback" && opt.transport != "tcp")) {
@@ -1029,8 +563,7 @@ int main(int argc, char** argv) {
                  "usage: bench_serving [--clients N] [--requests N] [--rps R]\n"
                  "                     [--transport loopback|tcp] [--blocks B]\n"
                  "                     [--txs T] [--fault-rate F] [--seed S]\n"
-                 "                     [--obs-ab] [--hedge-ab] [--fleet KxR]\n"
-                 "                     [--json path]\n");
+                 "                     [--obs-ab] [--hedge-ab] [--json path]\n");
     return 2;
   }
   const MetricsDelta metrics_delta;
@@ -1116,11 +649,6 @@ int main(int argc, char** argv) {
     hedge_ab_json = RunHedgeAbSection(opt, fixture);
   }
 
-  std::string fleet_json;
-  if (fleet_spec) {
-    fleet_json = RunFleetSection(opt, fixture, *fleet_spec);
-  }
-
   if (!opt.json_path.empty()) {
     JsonObject doc;
     doc.Put("bench", "bench_serving")
@@ -1138,7 +666,6 @@ int main(int argc, char** argv) {
         .Put("cache_speedup", speedup);
     if (!obs_ab_json.empty()) doc.PutRaw("obs_ab", obs_ab_json);
     if (!hedge_ab_json.empty()) doc.PutRaw("hedge_ab", hedge_ab_json);
-    if (!fleet_json.empty()) doc.PutRaw("fleet", fleet_json);
     doc.PutRaw("metrics", metrics_delta.Json());
     WriteJsonFile(opt.json_path, doc.Str());
   }

@@ -1,10 +1,6 @@
 #include "dcert/issuer.h"
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/crash_point.h"
@@ -16,8 +12,8 @@ namespace dcert::core {
 
 namespace {
 
-/// Process-wide per-stage latency histograms for the certificate-issuance
-/// pipeline, aggregated across every issuer instance (the per-call CertTiming
+/// Process-wide per-stage latency histograms for certificate issuance,
+/// aggregated across every issuer instance (the per-call CertTiming
 /// stays the exact view benches report).
 struct CiMetrics {
   std::shared_ptr<obs::Histogram> rwset_ns;
@@ -173,14 +169,6 @@ Status CertificateIssuer::Commit(const chain::Block& blk,
   return TimedCommit([&] { return node_.AppendExecuted(blk, writes); });
 }
 
-Status CertificateIssuer::CommitBeforeEcall(const chain::Block& blk,
-                                            const chain::StateMap& writes) {
-  return TimedCommit([&] {
-    if (Status st = chain::VerifyTxSignatures(blk.txs); !st) return st;
-    return node_.AppendExecuted(blk, writes);
-  });
-}
-
 void CertificateIssuer::Publish(const BlockCertificate& cert,
                                 std::size_t covered, bool per_block) {
   latest_cert_ = cert;
@@ -279,6 +267,9 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
   timing_ = CertTiming{};
   timing_.blocks = blocks.size();
   if (blocks.empty()) return R::Error("empty batch");
+  if (!indexes_.empty()) {
+    return R::Error("batch certification cannot certify attached indexes");
+  }
 
   const chain::BlockHeader prev_hdr = node_.Tip().header;
   const std::optional<BlockCertificate> prev_cert = latest_cert_;
@@ -294,9 +285,14 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
     if (!prepared) return R(prepared.status());
     input_bytes += prepared.value().input_bytes;
     proofs.push_back(std::move(prepared.value().proof));
-    if (Status st = CommitBeforeEcall(blk, prepared.value().writes); !st) {
-      return R(st);
-    }
+    // Committed before the span's Ecall, so nothing has checked the
+    // signatures yet: one batched host-side check runs first and node_ never
+    // holds a block with a bad signature.
+    Status committed = TimedCommit([&] {
+      if (Status st = chain::VerifyTxSignatures(blk.txs); !st) return st;
+      return node_.AppendExecuted(blk, prepared.value().writes);
+    });
+    if (!committed) return R(committed);
   }
 
   auto sig = TimedEcall(input_bytes, [&] {
@@ -309,131 +305,6 @@ Result<BlockCertificate> CertificateIssuer::ProcessBlockBatch(
   BlockCertificate cert = AssembleCert(blocks.back().header.Hash(), sig.value());
   Publish(cert, blocks.size(), /*per_block=*/false);
   return cert;
-}
-
-Result<std::vector<BlockCertificate>> CertificateIssuer::ProcessBlocksPipelined(
-    const std::vector<chain::Block>& blocks,
-    const std::function<Status(std::size_t, const BlockCertificate&)>& on_cert) {
-  using R = Result<std::vector<BlockCertificate>>;
-  timing_ = CertTiming{};
-  timing_.blocks = blocks.size();
-  if (blocks.empty()) return R::Error("empty span");
-
-  // Two-stage pipeline over a bounded handoff queue. The prepare thread owns
-  // node_ (tip checks, execution, proof build, signature check, commit) and
-  // the prepare-side timing counters; the calling thread owns the enclave,
-  // the certificate chain, and the enclave-side counters. The enclave's
-  // SigGen consumes only captured values (prev header, prev certificate,
-  // block, proof), so committing block N before its Ecall is legal and is
-  // what lets block N+1's preparation overlap it.
-  struct Slot {
-    chain::BlockHeader prev_hdr;
-    Prepared prepared;
-    Status status = Status::Ok();
-  };
-  constexpr std::size_t kMaxInFlight = 4;  // bounds proof memory
-  struct Handoff {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Slot> ready;
-    bool cancel = false;
-    bool done = false;
-  } handoff;
-
-  Stopwatch span_watch;
-  std::thread prep([&] {
-    for (const chain::Block& blk : blocks) {
-      Slot slot;
-      slot.prev_hdr = node_.Tip().header;
-      if (Status st = CheckExtendsTip(blk); !st) {
-        slot.status = st;
-      } else if (auto prepared = Prepare(blk); !prepared) {
-        slot.status = prepared.status();
-      } else {
-        slot.prepared = std::move(prepared.value());
-        slot.status = CommitBeforeEcall(blk, slot.prepared.writes);
-      }
-      const bool failed = !slot.status;
-      {
-        std::unique_lock<std::mutex> lock(handoff.mu);
-        handoff.cv.wait(lock, [&] {
-          return handoff.cancel || handoff.ready.size() < kMaxInFlight;
-        });
-        if (handoff.cancel) return;
-        handoff.ready.push_back(std::move(slot));
-      }
-      handoff.cv.notify_all();
-      if (failed) break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(handoff.mu);
-      handoff.done = true;
-    }
-    handoff.cv.notify_all();
-  });
-
-  std::vector<BlockCertificate> certs;
-  certs.reserve(blocks.size());
-  Status failure = Status::Ok();
-  try {
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      Slot slot;
-      {
-        std::unique_lock<std::mutex> lock(handoff.mu);
-        handoff.cv.wait(lock,
-                        [&] { return !handoff.ready.empty() || handoff.done; });
-        if (handoff.ready.empty()) break;  // prepare thread exited early
-        slot = std::move(handoff.ready.front());
-        handoff.ready.pop_front();
-      }
-      handoff.cv.notify_all();  // queue space freed
-      if (!slot.status) {
-        failure = slot.status.WithContext("pipelined prepare, block " +
-                                          std::to_string(i));
-        break;
-      }
-
-      common::CrashPoints::Global().Hit("issuer.pipeline.ecall");
-      auto sig = TimedEcall(slot.prepared.input_bytes, [&] {
-        return program_.SigGen(slot.prev_hdr, latest_cert_, blocks[i],
-                               slot.prepared.proof);
-      });
-      if (!sig) {
-        failure = sig.status().WithContext("pipelined ecall_sig_gen, block " +
-                                           std::to_string(i));
-        break;
-      }
-      BlockCertificate cert = AssembleCert(blocks[i].header.Hash(), sig.value());
-      if (on_cert) {
-        if (Status st = on_cert(i, cert); !st) {
-          failure = st.WithContext("pipelined cert sink, block " +
-                                   std::to_string(i));
-          break;
-        }
-      }
-      Publish(cert, 1, /*per_block=*/true);
-      certs.push_back(std::move(cert));
-    }
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(handoff.mu);
-      handoff.cancel = true;
-    }
-    handoff.cv.notify_all();
-    prep.join();
-    throw;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(handoff.mu);
-    handoff.cancel = true;
-  }
-  handoff.cv.notify_all();
-  prep.join();
-  timing_.span_wall_ns = span_watch.ElapsedNs();
-
-  if (!failure) return R(failure);
-  return certs;
 }
 
 Status CertificateIssuer::InstallSnapshot(const chain::Block& tip,

@@ -41,11 +41,7 @@ class CertifiedIndexHost {
 };
 
 /// Per-block certificate construction cost breakdown (Figs. 8-10). The
-/// per-stage counters are *busy* times: in serial operation they also sum to
-/// the elapsed time, while in pipelined operation the prepare-side counters
-/// (rwset/proof/index_aux/commit) accumulate on the prepare thread and
-/// overlap the enclave-side ones, so the elapsed time is tracked separately
-/// in `span_wall_ns` (stage-overlap accounting).
+/// stages run one after another, so their counters sum to the elapsed time.
 struct CertTiming {
   std::uint64_t rwset_ns = 0;            // outside: execution + r/w set gen
   std::uint64_t proof_ns = 0;            // outside: Merkle proof generation
@@ -56,9 +52,6 @@ struct CertTiming {
   std::uint64_t enclave_modeled_ns = 0;  // inside: with modelled SGX overheads
   std::uint64_t ecalls = 0;
   std::uint64_t blocks = 0;              // blocks covered by this window
-  std::uint64_t span_wall_ns = 0;        // elapsed wall time of the whole span
-                                         // (0 when a single-block entry point
-                                         // ran; stages then sum to elapsed)
 
   double OutsideMs() const {
     return static_cast<double>(rwset_ns + proof_ns + index_aux_ns) / 1e6;
@@ -66,15 +59,6 @@ struct CertTiming {
   double TotalMs(bool modeled) const {
     return OutsideMs() +
            static_cast<double>(modeled ? enclave_modeled_ns : enclave_wall_ns) / 1e6;
-  }
-  /// Busy fraction of the two pipeline stages over the span's wall time:
-  /// (prepare busy + enclave busy) / (2 * wall). 0.5 means one stage was
-  /// always idle (no overlap); 1.0 means both stages ran the whole time.
-  double PipelineOccupancy() const {
-    if (span_wall_ns == 0) return 0.0;
-    const std::uint64_t busy =
-        rwset_ns + proof_ns + index_aux_ns + commit_ns + enclave_wall_ns;
-    return static_cast<double>(busy) / (2.0 * static_cast<double>(span_wall_ns));
   }
 };
 
@@ -133,30 +117,12 @@ class CertificateIssuer {
   /// extend the tip contiguously); only the last block receives a
   /// certificate. Amortizes enclave transitions and signing across the span
   /// at the cost of per-block certification latency (see bench_batching).
+  /// Refused while an index is attached: Alg. 5 certifies an index against
+  /// each block's own certificate, which the span's inner blocks lack. A
+  /// refused span leaves the node, the certificates and the indexes as they
+  /// were.
   Result<BlockCertificate> ProcessBlockBatch(
       const std::vector<chain::Block>& blocks);
-
-  /// Two-stage pipelined certification of a contiguous span: a prepare
-  /// thread runs the outside-enclave work (tip check, execution, update-proof
-  /// build, signature check, full-node commit) for block N+1 while the calling
-  /// thread drives block N's Ecall — legal because the enclave needs only
-  /// the *previous* certificate, never the node's post-commit state. Every
-  /// block receives a certificate; certs, roots, and LatestCert() are
-  /// byte-identical to running ProcessBlock once per block. Fills
-  /// LastTiming() with stage-overlap accounting (span_wall_ns, occupancy).
-  /// On an Ecall failure the node may already have committed ahead of the
-  /// last certificate (a production CI would snapshot and roll back).
-  ///
-  /// `on_cert`, when set, runs on the calling thread right after block i's
-  /// certificate is assembled and *before* it becomes LatestCert() — the
-  /// durability hook: a durable issuer appends block and certificate to its
-  /// logs (and announces) here, so a crash inside the sink leaves the
-  /// in-memory chain ahead of the logs, which recovery reconciles. A sink
-  /// error aborts the span like an Ecall failure would.
-  Result<std::vector<BlockCertificate>> ProcessBlocksPipelined(
-      const std::vector<chain::Block>& blocks,
-      const std::function<Status(std::size_t, const BlockCertificate&)>&
-          on_cert = nullptr);
 
   /// Adopts a block certified by *another* CI (decentralization: any CI
   /// running the same measured enclave can extend the chain). Fully
@@ -168,9 +134,9 @@ class CertificateIssuer {
 
   /// Registers an authenticated index for certification. ProcessBlock (and
   /// so ProcessBlockHierarchical) certifies every attached index per block;
-  /// ProcessBlockAugmented is the Alg. 4 alternative. The batch and pipelined
-  /// paths certify blocks only. Must be called while the chain is at
-  /// genesis; for later attachment use AttachIndexWithBackfill.
+  /// ProcessBlockAugmented is the Alg. 4 alternative. ProcessBlockBatch is
+  /// refused while an index is attached. Must be called while the chain is
+  /// at genesis; for later attachment use AttachIndexWithBackfill.
   void AttachIndex(std::shared_ptr<CertifiedIndexHost> index);
 
   /// On-demand index activation (the paper's versatility claim): attaches a
@@ -231,11 +197,6 @@ class CertificateIssuer {
   /// the enclave checked the signatures and the root, and the host trusts
   /// its own execution.
   Status Commit(const chain::Block& blk, const chain::StateMap& writes);
-  /// Commit for the paths that commit *before* their Ecall (batch,
-  /// pipelined): nothing has checked the signatures yet, so one batched
-  /// host-side check runs first and node_ never holds a block with a bad
-  /// signature.
-  Status CommitBeforeEcall(const chain::Block& blk, const chain::StateMap& writes);
   /// Runs one commit step, timed as commit_ns.
   Status TimedCommit(const std::function<Status()>& step);
   /// Runs one Ecall and records its cost: wall and modelled enclave time,

@@ -132,5 +132,35 @@ TEST(BatchTest, BatchingDisablesBackfill) {
           .ok());
 }
 
+TEST(BatchTest, SpanIsRefusedWithAnAttachedIndex) {
+  // A span certificate signs only the last header, and Alg. 5 certifies an
+  // index against each block's own certificate, so the batch route refuses
+  // while an index is attached and leaves the issuer untouched.
+  BatchRig rig;
+  auto hist = std::make_shared<query::HistoricalIndex>("historical");
+  rig.ci->AttachIndex(hist);
+  auto blocks = rig.NextBlocks(2);
+  const Hash256 genesis_root = rig.ci->Node().State().Root();
+  EXPECT_FALSE(rig.ci->ProcessBlockBatch({blocks[0]}).ok());
+  EXPECT_EQ(rig.ci->Node().Height(), 0u);
+  EXPECT_EQ(rig.ci->Node().State().Root(), genesis_root);
+  EXPECT_FALSE(rig.ci->LatestCert().has_value());
+  EXPECT_FALSE(rig.ci->LatestIndexCert("historical").has_value());
+
+  // Per-block certification then runs Alg. 5 for both blocks, and a
+  // superlight client accepts each index certificate.
+  SuperlightClient client(ExpectedEnclaveMeasurement());
+  for (const chain::Block& blk : blocks) {
+    auto certs = rig.ci->ProcessBlockHierarchical(blk);
+    ASSERT_TRUE(certs.ok()) << certs.message();
+    ASSERT_EQ(certs.value().size(), 1u);
+    ASSERT_TRUE(client.ValidateAndAccept(blk.header, *rig.ci->LatestCert()).ok());
+    Status st = client.AcceptIndexCert(blk.header, certs.value()[0],
+                                       hist->CurrentDigest(), "historical");
+    EXPECT_TRUE(st.ok()) << st.message();
+  }
+  EXPECT_EQ(client.Height(), 2u);
+}
+
 }  // namespace
 }  // namespace dcert::core

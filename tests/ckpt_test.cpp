@@ -336,25 +336,6 @@ TEST(CheckpointedIssuerTest, RecoveryReplaysOnlyTheTailAndMatchesReference) {
   }
 }
 
-TEST(CheckpointedIssuerTest, PipelinedSpansCheckpointAtTheBoundary) {
-  const ChainRig& rig = Rig();
-  IssuerPaths p = FreshIssuerPaths("ckpt_pipelined", 0, 3);
-  {
-    auto ci = OpenIssuer(p);
-    ASSERT_TRUE(ci.ok()) << ci.message();
-    ASSERT_TRUE(ci.value().CertifyBlocksPipelined(rig.blocks).ok());
-    // One cadence check at the span boundary: a single checkpoint at the
-    // final tip, never a mid-span (potentially inconsistent) snapshot.
-    EXPECT_EQ(ci.value().LastCheckpointHeight(), 12u);
-    EXPECT_EQ(ci.value().Store().Heights(),
-              (std::vector<std::uint64_t>{12}));
-  }
-  auto ci = OpenIssuer(p);
-  ASSERT_TRUE(ci.ok()) << ci.message();
-  EXPECT_EQ(ci.value().BootstrapHeight(), 12u);
-  EXPECT_EQ(ci.value().Durable().Recovery().blocks_replayed, 0u);
-}
-
 TEST(SuperlightBootstrapTest, AcceptsCheckpointAndRejectsTamperedDigest) {
   const Checkpoint ck = MakeIssuerCheckpoint();
   core::SuperlightClient client(core::ExpectedEnclaveMeasurement());

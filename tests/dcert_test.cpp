@@ -396,23 +396,6 @@ TEST(BadSignatureTest, ProcessBlockBatchRejects) {
   EXPECT_TRUE(ci.ProcessBlockBatch({r.honest}).ok());
 }
 
-TEST(BadSignatureTest, ProcessBlocksPipelinedRejects) {
-  BadSignatureRig r;
-  CertificateIssuer& ci = *r.rig.ci;
-  auto certs = ci.ProcessBlocksPipelined({r.good[0], r.good[1], r.bad});
-  ASSERT_FALSE(certs.ok());
-  EXPECT_NE(certs.message().find("block 2"), std::string::npos);
-  EXPECT_NE(certs.message().find(kBadSigMessage), std::string::npos);
-  // The honest prefix is certified; the bad block never reached the node.
-  EXPECT_EQ(ci.Node().Height(), 2u);
-  EXPECT_EQ(ci.Node().Tip().header.Hash(), r.good[1].header.Hash());
-  EXPECT_EQ(ci.Node().State().Root(), r.good[1].header.state_root);
-  ASSERT_TRUE(ci.LatestCert().has_value());
-  EXPECT_EQ(ci.LatestCert()->digest, r.good[1].header.Hash());
-
-  EXPECT_TRUE(ci.ProcessBlocksPipelined({r.honest}).ok());
-}
-
 TEST(BadSignatureTest, ProcessBlockAugmentedRejects) {
   BadSignatureRig r;
   CertificateIssuer& ci = *r.rig.ci;
@@ -557,9 +540,6 @@ TEST(IssuerPathTest, EnclaveHistogramRecordsEveryEcallOnEveryPath) {
   ExpectEnclaveSamplePerEcall("ProcessBlock", ci, [&] {
     return ci.ProcessBlock(rig.NextBlock()).ok();
   });
-  ExpectEnclaveSamplePerEcall("ProcessBlocksPipelined", ci, [&] {
-    return ci.ProcessBlocksPipelined({rig.NextBlock(), rig.NextBlock()}).ok();
-  });
   ExpectEnclaveSamplePerEcall("AttachIndexWithBackfill", ci, [&] {
     return ci.AttachIndexWithBackfill(
                  std::make_shared<query::HistoricalIndex>("historical"))
@@ -568,8 +548,14 @@ TEST(IssuerPathTest, EnclaveHistogramRecordsEveryEcallOnEveryPath) {
   ExpectEnclaveSamplePerEcall("ProcessBlockHierarchical", ci, [&] {
     return ci.ProcessBlockHierarchical(rig.NextBlock()).ok();
   });
-  ExpectEnclaveSamplePerEcall("ProcessBlockBatch", ci, [&] {
-    return ci.ProcessBlockBatch({rig.NextBlock(), rig.NextBlock()}).ok();
+
+  // The batch route refuses attached indexes, so it runs on an index-free
+  // issuer.
+  TestRig batched;
+  ExpectEnclaveSamplePerEcall("ProcessBlockBatch", *batched.ci, [&] {
+    return batched.ci->ProcessBlockBatch(
+                         {batched.NextBlock(), batched.NextBlock()})
+        .ok();
   });
 
   TestRig augmented;

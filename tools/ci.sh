@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: a Release build running the full tier-1 suite, then a
 # ThreadSanitizer build (DCERT_SANITIZE=thread) running the threaded tests
-# that exercise the pipeline/thread-pool/SMT parallel paths, the serving
+# that exercise the thread-pool/SMT parallel paths, the serving
 # subsystem, and the obs metrics hammering, then an AddressSanitizer build
 # (DCERT_SANITIZE=address) running the server/transport/obs tests (socket
 # and buffer handling), then two legs for the SIMD hashing dispatch: the
@@ -26,9 +26,9 @@
 # the lock-free recording paths.
 #
 # Both sanitizer legs also run the crash-recovery suite (CrashRecovery +
-# CrashSoak): the soak repeatedly tears the pipelined issuer down mid-span
-# (thread cancel/join under an injected exception) and recovers, which is
-# exactly where TSan finds teardown races and ASan finds use-after-frees in
+# CrashSoak): the soak repeatedly kills the durable issuer at a seeded crash
+# site (an injected exception unwinding through the issuer, the logs and the
+# announce sink) and recovers, which is where ASan finds use-after-frees in
 # the store/issuer lifecycles. The seeded cycle count is bounded via
 # DCERT_CRASH_SOAK_CYCLES so the sanitizer runs stay inside the per-test
 # timeout (the Release leg runs the full default of 200 cycles).
@@ -52,9 +52,10 @@
 # -j and any schedule. A Release leg reruns the fast suite at -j$(nproc) in
 # random order three times to keep it that way.
 #
-# The bad-signature suite (BadSignatureTest) runs under both sanitizers: its
-# pipelined case rejects a block on the prepare thread while the calling
-# thread waits on the handoff, the failure-teardown path of the pipeline.
+# The bad-signature suite (BadSignatureTest) runs under both sanitizers: it
+# rejects a block on every certify route (inside the enclave on the serial,
+# hierarchical and augmented routes, on the host before commit on the batch
+# route) and checks that nothing of the rejected block is left behind.
 #
 # Every ctest invocation carries a per-test --timeout so a hung soak or a
 # deadlocked reader fails the run instead of wedging CI.
@@ -83,12 +84,13 @@ DCERT_CHAOS_SOAK_CYCLES="${DCERT_CHAOS_SOAK_CYCLES:-500}" \
 ctest --test-dir "${PREFIX}-release" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" -L soak
 
-echo "=== [1b/5] bench_serving --fleet 1x1 smoke (multi-process topology) ==="
-# The smallest fleet: one re-exec'd shard-server child over TCP, plus the
-# verified scatter-gather pass. Pins the fork/exec/PORT-handshake/shutdown
-# machinery and the sharded request framing without benchmarking anything.
-"${PREFIX}-release/bench/bench_serving" --fleet 1x1 \
-  --requests 200 --rps 4000 --blocks 4 --txs 8 >/dev/null
+echo "=== [1b/5] perfbench --selftest (the benchmark's own machinery) ==="
+# perfbench is the one fleet serving measurement (its serve phase drives a
+# 2-shard TCP fleet). The self-test builds it from this checkout and checks
+# its percentile rule, open-loop timing, self-time attribution and the
+# determinism of its seeded inputs and certificates, without benchmarking
+# anything.
+python3 perfbench/run.py --selftest
 
 echo "=== [1c/5] bench_recovery --verify (10k-chain tail-only replay) ==="
 # Builds a 10k-block chain under checkpoint cadence and recovers it: exits
@@ -108,19 +110,21 @@ echo "=== [2/5] TSan build + threaded tests ==="
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target \
   thread_pool_test parallel_equivalence_test smt_test dcert_test svc_test \
-  fleet_test obs_test record_log_test crash_recovery_test ckpt_test chaos_test
+  fleet_test obs_test record_log_test crash_recovery_test ckpt_test chaos_test \
+  sha256_test
 DCERT_CRASH_SOAK_CYCLES=50 DCERT_CHAOS_SOAK_CYCLES=40 \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
   --timeout "${TEST_TIMEOUT}" \
   -R 'ThreadPool|ParallelEquivalence|Smt|Svc|Workflow|Fleet|ShardMap|ShardServing|Counter|Gauge|Histogram|Registry|Snapshot|Trace|Enabled|RecordLog|CrashPoints|CrashRecovery|CrashSoak|SealedIssuer|Checkpoint|SuperlightBootstrap|Chaos|BadSignature|IssuerPath'
-  # Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest; the obs suites cover
+  # sha256_test is built here for the forced-scalar leg [4/5]; no pattern
+  # of this leg matches it. Svc matches SvcFaultTest/SvcTcpTest/SvcStatsTest;
+  # the obs suites cover
   # the concurrent counter/histogram/trace hammering. Fleet|ShardMap|
   # ShardServing run the router fan-out, scatter-gather fan-out threads, and
   # the pooled-connection paths — the fleet's concurrency lives there.
   # CrashSoak includes the checkpointed seeded soak (crash sites inside
   # rotation, compaction rename, and checkpoint seal); Checkpoint matches
-  # the ckpt format/store/issuer/SP-export suites, incl. the pipelined
-  # span-boundary cadence that TSan watches for teardown races.
+  # the ckpt format/store/issuer/SP-export suites.
 
 echo "=== [3/5] ASan build + serving/transport tests ==="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDCERT_SANITIZE=address
@@ -140,7 +144,7 @@ ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
 
 echo "=== [4/5] TSan + forced-scalar hashing (dispatch fallback path) ==="
 # Same TSan build, but every digest takes the portable scalar road. The
-# threaded SMT/pipeline tests then certify that the batch-hash sharding and
+# threaded SMT tests then certify that the batch-hash sharding and
 # the thread_local scratch in the fallback are race-free; the Sha256 suite
 # (incl. the dispatch tests) runs to pin the resolved backends.
 DCERT_FORCE_SHA_BACKEND=scalar DCERT_CRASH_SOAK_CYCLES=50 \
